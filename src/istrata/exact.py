@@ -21,10 +21,6 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(m, n):
-    return [[0] * n for _ in range(m)]
-
-
 def copy_matrix(a):
     return [list(row) for row in a]
 
@@ -34,7 +30,6 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    n = len(b)
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
@@ -51,10 +46,6 @@ def vec_mat(v, a):
 
 def vec_add(u, v):
     return [x + y for x, y in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [x - y for x, y in zip(u, v)]
 
 
 def vec_scale(c, v):
@@ -275,49 +266,21 @@ def det_bareiss(a):
     return sign * A[n - 1][n - 1]
 
 
-def rational_inverse(a):
-    """Inverse of a square matrix, entries Fraction.  Raises on singular input."""
-    n = len(a)
-    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if A[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        A[col], A[piv] = A[piv], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        for i in range(n):
-            if i != col and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [x - f * y for x, y in zip(A[i], A[col])]
-    return [row[n:] for row in A]
+def _gauss_jordan(rows, ncols):
+    """Reduced row echelon form over ℚ, pivoting only in the first ncols columns.
 
-
-def unimodular_inverse(u):
-    """Integer inverse of a unimodular integer matrix."""
-    inv = rational_inverse(u)
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            assert x.denominator == 1, "matrix is not unimodular"
-            irow.append(int(x))
-        out.append(irow)
-    return out
-
-
-def solve_unique(a, b):
-    """Solve a·x = b (column convention) when a has full column rank.
-
-    Returns a list of Fractions, or None when the system is inconsistent.
-    Raises ValueError when the solution is not unique.
+    Returns (reduced rows as lists of Fractions, pivot columns).  Row i has
+    its leading 1 in column pivots[i]; every pivot column is zero elsewhere,
+    and rows past the last pivot vanish on the first ncols columns.  Later
+    columns ride along, so an augmented [a | b] solves and inverts.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    A = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    r = 0
+    A = [[Fraction(x) for x in row] for row in rows]
+    m = len(A)
     pivots = []
-    for col in range(n):
+    for col in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
         piv = next((i for i in range(r, m) if A[i][col] != 0), None)
         if piv is None:
             continue
@@ -329,37 +292,49 @@ def solve_unique(a, b):
                 f = A[i][col]
                 A[i] = [x - f * y for x, y in zip(A[i], A[r])]
         pivots.append(col)
-        r += 1
-    if r < n:
+    return A, pivots
+
+
+def pivot_columns(a):
+    """Indices of the columns of a that are not in the ℚ-span of earlier columns.
+
+    They index a basis of the column space; their number is the rank over ℚ.
+    """
+    return _gauss_jordan(a, len(a[0]))[1] if a else []
+
+
+def rational_inverse(a):
+    """Inverse of a square matrix, entries Fraction.  Raises on singular input."""
+    n = len(a)
+    rows, pivots = _gauss_jordan(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)], n
+    )
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in rows]
+
+
+def unimodular_inverse(u):
+    """Integer inverse of a unimodular integer matrix."""
+    inv = rational_inverse(u)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in inv]
+
+
+def solve_unique(a, b):
+    """Solve a·x = b (column convention) when a has full column rank.
+
+    Returns a list of Fractions, or None when the system is inconsistent.
+    Raises ValueError when the solution is not unique.
+    """
+    n = len(a[0]) if a else 0
+    rows, pivots = _gauss_jordan([list(row) + [b[i]] for i, row in enumerate(a)], n)
+    if len(pivots) < n:
         raise ValueError("solution not unique (rank-deficient system)")
-    for i in range(r, m):
-        if A[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for row_idx, col in enumerate(pivots):
-        x[col] = A[row_idx][n]
-    return x
-
-
-def rank_of(a):
-    """Rank over the rationals."""
-    m = len(a)
-    if m == 0:
-        return 0
-    n = len(a[0])
-    A = [[Fraction(x) for x in row] for row in a]
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if A[i][col] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        for i in range(r + 1, m):
-            if A[i][col] != 0:
-                f = A[i][col] / A[r][col]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        r += 1
-    return r
+    if any(row[n] != 0 for row in rows[n:]):
+        return None
+    return [row[n] for row in rows[:n]]
 
 
 # ---------------------------------------------------------------------------
@@ -382,33 +357,6 @@ def saturation(rows):
     r = sum(1 for i in range(min(len(rows), len(rows[0]))) if d[i][i])
     vinv = unimodular_inverse(v)
     return vinv[:r]
-
-
-def sublattice_index(rows, sub_rows):
-    """Index of the row span of sub_rows inside the row span of rows.
-
-    Both spans must have equal rank; vectors of sub_rows must lie in the
-    span of rows.
-    """
-    coords = []
-    rt = transpose(rows)
-    for s in sub_rows:
-        x = solve_unique(rt, s)
-        if x is None:
-            raise ValueError("vector not in the ambient row span")
-        row = []
-        for f in x:
-            if f.denominator != 1:
-                raise ValueError("vector not in the integer row span")
-            row.append(int(f))
-        coords.append(row)
-    facs = invariant_factors(coords)
-    if len(facs) < len(rows):
-        raise ValueError("sublattice is rank deficient")
-    out = 1
-    for f in facs:
-        out *= f
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ from .tori import TorusPoint
 FORMAT_VERSION = 1
 
 
+class InputError(ValueError):
+    """A JSON document that does not follow the exact-JSON schema."""
+
+
 def fraction_to_str(f):
     f = Fraction(f)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
@@ -36,8 +40,12 @@ def lattice_to_json(lattice):
 
 def lattice_from_json(obj):
     gram = obj["gram"]
+    if not isinstance(gram, list) or not all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in gram
+    ):
+        raise InputError("Gram matrix must be a list of rows of JSON integers")
     if len(gram) != obj["rank"]:
-        raise ValueError("rank does not match the Gram matrix")
+        raise InputError("rank does not match the Gram matrix")
     return IntegralLattice(gram)
 
 
@@ -86,7 +94,7 @@ def dataset_to_json(ds):
 
 def dataset_from_json(obj):
     if obj.get("version") != FORMAT_VERSION:
-        raise ValueError("unsupported dataset version")
+        raise InputError("unsupported dataset version")
     summands = tuple(
         SummandData(
             label=s["label"],
@@ -115,5 +123,9 @@ def dumps(obj):
 
 
 def load_path(path):
+    """The JSON object stored at path; any other top-level value is rejected."""
     with open(path) as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise InputError("top-level JSON value must be an object")
+    return obj

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from . import exact
 from .exact import (
@@ -18,35 +19,7 @@ from .exact import (
     integer_kernel,
     invariant_factors,
     reduce_mod_rows,
-    smith_normal_form as _snf_raw,
 )
-
-
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """Thin immutable wrapper for integer (or exact rational) matrices."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        if not self.rows or not self.rows[0]:
-            raise ValueError("matrix dimensions must be positive")
-
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0])
-
-    def tolists(self):
-        return [list(r) for r in self.rows]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
 
 
 @dataclass(frozen=True)
@@ -66,10 +39,7 @@ class FiniteAbelianGroup:
 
     @property
     def order(self):
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return prod(self.invariant_factors)
 
     @property
     def exponent(self):
@@ -98,7 +68,7 @@ class IntegralLattice:
         return len(self.gram)
 
     def pairing(self, u, v):
-        return exact.dot_gram(list(u), [list(r) for r in self.gram], list(v))
+        return exact.dot_gram(u, self.gram, v)
 
     def norm(self, v):
         return self.pairing(v, v)
@@ -127,18 +97,6 @@ def hyperbolic_plane():
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def smith_normal_form(m):
-    """SNF with transforms: returns (invariant factors, left, right).
-
-    left·m·right is diagonal with the divisibility chain; left and right are
-    unimodular (determinant ±1).
-    """
-    mat = m.tolists() if isinstance(m, IntegerMatrix) else [list(r) for r in m]
-    u, d, v = _snf_raw(mat)
-    facs = [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i]]
-    return facs, IntegerMatrix(u), IntegerMatrix(v)
 
 
 def inertia(gram):
@@ -250,7 +208,7 @@ def quotient_by_isotropic(L, s_rows):
     for s in s_rows:
         if not exact.is_zero_vector(exact.vec_mat(s, g)):
             raise ValueError("span is not in the radical of the form")
-    u, d, v = _snf_raw(s_rows)
+    _, d, v = exact.smith_normal_form(s_rows)
     k = len(s_rows)
     facs = [d[i][i] for i in range(min(k, n)) if d[i][i]]
     if any(f != 1 for f in facs):
@@ -263,11 +221,9 @@ def quotient_by_isotropic(L, s_rows):
     q_gram = [
         [exact.dot_gram(a, g, b) for b in complement] for a in complement
     ]
-    # projection: ambient coords -> quotient coords (drop the S part)
-    binv = exact.rational_inverse(vinv)  # columns convert: x = y·vinv ⇒ y = x·binv
-    proj = [[binv[i][r + j] for i in range(n)] for j in range(n - r)]
-    # proj rows are integral because vinv is unimodular
-    proj = [[int(x) for x in row] for row in proj]
+    # projection: ambient coords -> quotient coords (drop the S part);
+    # x = y·vinv ⇒ y = x·v, so the columns of v past r give the quotient coords
+    proj = [[v[i][r + j] for i in range(n)] for j in range(n - r)]
     return QuotientResult(
         lattice=IntegralLattice(q_gram),
         projection=tuple(tuple(row) for row in proj),
@@ -301,7 +257,4 @@ def index_of_sublattice(L, s_rows):
     facs = invariant_factors(s_rows)
     if len(facs) < L.rank:
         raise ValueError("sublattice is rank deficient")
-    out = 1
-    for f in facs:
-        out *= f
-    return out
+    return prod(facs)

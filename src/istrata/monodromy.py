@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from . import exact
 from .lattices import IntegralLattice
@@ -205,7 +206,6 @@ def weight_data(N):
         raise ValueError("operator does not square to zero")
     cols = exact.transpose(m)
     nonzero = [c for c in cols if not exact.is_zero_vector(c)]
-    rank = exact.rank_of(nonzero) if nonzero else 0
     im = exact.saturation(nonzero) if nonzero else []
     was_saturated = bool(nonzero) and all(
         exact.in_row_span(nonzero, v) for v in im
@@ -213,7 +213,7 @@ def weight_data(N):
     ker = exact.integer_kernel(m)
     for v in im:
         assert exact.is_zero_vector(exact.mat_vec(m, v)), "Im not inside Ker"
-    return im, ker, rank, was_saturated
+    return im, ker, len(im), was_saturated
 
 
 def primitivity_certificate(frame):
@@ -231,10 +231,13 @@ def primitivity_certificate(frame):
 
 
 def pair_index_pattern(frame):
-    """Sorted list of indices [W₁ : Im Nᵢ + Im Nⱼ] over unordered pairs."""
+    """Sorted list of indices [W₁ : Im Nᵢ + Im Nⱼ] over unordered pairs.
+
+    W₁ is primitive of rank 4 (``_check_frame``), so a rank-4 span inside it
+    has index equal to the product of its invariant factors in ℤ⁸.
+    """
     if frame.k < 2:
         raise ValueError("pattern needs k ≥ 2")
-    w1 = [list(r) for r in frame.w1_basis]
     out = []
     for i in range(frame.k):
         for j in range(i + 1, frame.k):
@@ -242,5 +245,8 @@ def pair_index_pattern(frame):
                 list(frame.alphas[i]), list(frame.betas[i]),
                 list(frame.alphas[j]), list(frame.betas[j]),
             ]
-            out.append(exact.sublattice_index(w1, span))
+            facs = exact.invariant_factors(span)
+            if len(facs) != 4:
+                raise ValueError("Im Nᵢ + Im Nⱼ is not of rank 4")
+            out.append(prod(facs))
     return sorted(out)

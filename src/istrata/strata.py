@@ -14,7 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations
+from math import lcm
 
 from . import exact
 from .lattices import (
@@ -34,6 +36,7 @@ from .tori import (
     build_jw1_cover_diagram,
     kernel_points,
     quotient_torus,
+    stack_via_sum,
 )
 
 STRATUM_LABELS = ("rat11", "rat21", "rat22", "enriques", "ell211", "ell111")
@@ -106,8 +109,21 @@ class GluedBoundaryModel:
     y_tilde: ComponentSurface
     dp_components: tuple
     ambient: IntegralLattice
-    xi: tuple  # ξᵢ in ambient coordinates
-    l_total: tuple  # [L] in ambient coordinates
+
+    @cached_property
+    def xi(self):
+        """ξᵢ = Dᵢ on Ỹ minus D′ᵢ on Zᵢ, in ambient coordinates."""
+        out = []
+        for i, z in enumerate(self.dp_components):
+            dy = self.embed_y(self.y_tilde.double_curves[i + 1])
+            dz = self.embed_z(i, z.double_curves[i + 1])
+            out.append(tuple(a - b for a, b in zip(dy, dz)))
+        return tuple(out)
+
+    @cached_property
+    def l_total(self):
+        """[L] in ambient coordinates."""
+        return self.embed_y(self.y_tilde.l_class)
 
     @property
     def k(self):
@@ -266,29 +282,11 @@ def build_stratum_model(label):
     if label not in _BUILDERS:
         raise ValueError(f"unknown stratum label {label!r}")
     yt, zs = _BUILDERS[label]()
-    ambient = direct_sum(yt.lattice, *(z.lattice for z in zs))
     model = GluedBoundaryModel(
         stratum=label,
         y_tilde=yt,
         dp_components=tuple(zs),
-        ambient=ambient,
-        xi=(),
-        l_total=(),
-    )
-    xi = []
-    for i, z in enumerate(zs):
-        curve = i + 1
-        dy = model.embed_y(yt.double_curves[curve])
-        dz = model.embed_z(i, z.double_curves[curve])
-        xi.append(tuple(a - b for a, b in zip(dy, dz)))
-    l_total = model.embed_y(yt.l_class)
-    model = GluedBoundaryModel(
-        stratum=label,
-        y_tilde=yt,
-        dp_components=tuple(zs),
-        ambient=ambient,
-        xi=tuple(xi),
-        l_total=l_total,
+        ambient=direct_sum(yt.lattice, *(z.lattice for z in zs)),
     )
     _validate_model(model)
     return model
@@ -489,16 +487,12 @@ def compute_JW1(model, eta=None):
 
 
 def marking_pair_indices(jw1_data):
-    """Kernel orders of the pairwise sum maps JDᵢ ⊕ JDⱼ → JW₁ (sorted)."""
-    from .tori import stack_via_sum
-
+    """((i, j), kernel order of JDᵢ ⊕ JDⱼ → JW₁) for each unordered pair."""
     ms = jw1_data.markings
-    out = []
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            grp, _ = kernel_points(stack_via_sum(ms[i], ms[j]))
-            out.append(grp.order)
-    return sorted(out)
+    return tuple(
+        ((i, j), kernel_points(stack_via_sum(ms[i], ms[j]))[0].order)
+        for i, j in combinations(range(len(ms)), 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -538,20 +532,6 @@ class RestrictionData:
         )
 
 
-def _greedy_basis_columns(rows):
-    """Lexicographically first column subset on which `rows` has full rank."""
-    m = len(rows)
-    chosen = []
-    for j in range(len(rows[0])):
-        trial = chosen + [j]
-        sub = [[row[t] for t in trial] for row in rows]
-        if exact.rank_of(sub) == len(trial):
-            chosen.append(j)
-        if len(chosen) == m:
-            return chosen
-    raise ValueError("constraint classes are rank deficient")
-
-
 def generate_restriction_data(model, seed):
     """Seeded generic restriction data with the ψ constraints built in."""
     rng = random.Random(seed)
@@ -570,7 +550,9 @@ def generate_restriction_data(model, seed):
         z_points.append(pts)
     # constraint classes on Ỹ: D₁..D_k then L
     classes = [list(yt.double_curves[i + 1]) for i in range(k)] + [list(yt.l_class)]
-    cols = _greedy_basis_columns(classes)
+    cols = exact.pivot_columns(classes)
+    if len(cols) < len(classes):
+        raise ValueError("constraint classes are rank deficient")
     sub = [[row[t] for t in cols] for row in classes]  # (k+1)×(k+1), invertible
     sub_inv = exact.rational_inverse(sub)
     y_matrices = []
@@ -758,17 +740,7 @@ def _coset_order(lam, v):
     simples = [list(s) for s in lam.root_data.all_simple_roots()]
     x = exact.solve_unique(exact.transpose(simples), list(v))
     assert x is not None
-    order = 1
-    for f in x:
-        d = f.denominator
-        order = order * d // _gcd(order, d)
-    return order
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    return lcm(*(f.denominator for f in x))
 
 
 def beta11_weight_crosscheck(lam=None):

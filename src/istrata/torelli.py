@@ -9,10 +9,7 @@ pair-index pattern, ψ block structure) and names the boundary stratum.
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from .monodromy import build_frame, pair_index_pattern
@@ -24,6 +21,7 @@ from .strata import (
     compute_lambda,
     extension_map,
     generate_restriction_data,
+    marking_pair_indices,
 )
 from .tori import RationalTorus, TorusPoint, n_torsion
 
@@ -235,18 +233,6 @@ class BoundaryDataset:
         return count
 
 
-def _pairwise_marking_indices(jw1):
-    """((i, j), kernel order of JDᵢ ⊕ JDⱼ → JW₁) for each unordered pair."""
-    from .tori import kernel_points, stack_via_sum
-
-    ms = jw1.markings
-    out = []
-    for i, j in itertools.combinations(range(len(ms)), 2):
-        grp, _ = kernel_points(stack_via_sum(ms[i], ms[j]))
-        out.append(((i, j), grp.order))
-    return tuple(out)
-
-
 def _ell111_summand_bases(model, lam):
     """The standard κ⊥ bases of the three dP1 components, in Λ coordinates.
 
@@ -297,7 +283,7 @@ def gen_fixture(label, seed):
         pair_pattern=tuple(pair_index_pattern(frame)),
         root_label=lam.root_data.label,
         summands=tuple(summands),
-        jw1_pair_indices=_pairwise_marking_indices(jw1),
+        jw1_pair_indices=marking_pair_indices(jw1),
     )
     descriptor = {
         "stratum": label,

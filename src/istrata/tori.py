@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import exact
 from .lattices import FiniteAbelianGroup
@@ -46,17 +47,7 @@ class TorusPoint:
 
     def order(self):
         """Order in the torus group (coordinates are rational, so finite)."""
-        out = 1
-        for c in self.coords:
-            d = c.denominator
-            out = out * d // _gcd(out, d)
-        return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+        return lcm(*(c.denominator for c in self.coords))
 
 
 @dataclass(frozen=True)
@@ -169,12 +160,11 @@ def kernel_points(f):
     Returns (FiniteAbelianGroup, generators) with one generator per
     nontrivial invariant factor.
     """
-    m = [list(r) for r in f.matrix]
-    if exact.rank_of(m) < f.source.rank:
-        raise ValueError("morphism not injective over ℚ (kernel infinite)")
-    u, d, v = exact.smith_normal_form(m)
     g = f.source.rank
-    divisors = [d[i][i] for i in range(g)]
+    _, d, v = exact.smith_normal_form([list(r) for r in f.matrix])
+    divisors = [d[i][i] for i in range(min(f.target.rank, g))]
+    if len(divisors) < g or 0 in divisors:
+        raise ValueError("morphism not injective over ℚ (kernel infinite)")
     gens = []
     facs = []
     for i, di in enumerate(divisors):
@@ -204,10 +194,7 @@ def quotient_torus(T, points):
     """
     closure = _check_subgroup(T, points)
     g = T.rank
-    denom = 1
-    for p in closure:
-        for c in p.coords:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
+    denom = lcm(*(c.denominator for p in closure for c in p.coords))
     rows = [[denom if i == j else 0 for j in range(g)] for i in range(g)]
     for p in closure:
         rows.append([int(c * denom) for c in p.coords])
@@ -229,12 +216,12 @@ def quotient_by_subtorus(f):
     image subtorus to be a direct factor of the point group (all SNF
     invariant factors 1), which holds for every diagram built here.
     """
-    m = [list(r) for r in f.matrix]
     gs, gt = f.source.rank, f.target.rank
-    if exact.rank_of(m) < gs:
+    u, d, _ = exact.smith_normal_form([list(r) for r in f.matrix])
+    divisors = [d[i][i] for i in range(min(gt, gs))]
+    if len(divisors) < gs or 0 in divisors:
         raise ValueError("morphism not injective over ℚ")
-    u, d, v = exact.smith_normal_form(m)
-    if any(d[i][i] != 1 for i in range(gs)):
+    if any(di != 1 for di in divisors):
         raise ValueError("image is not a primitively embedded subtorus")
     q_rows = [list(u[i]) for i in range(gs, gt)]
     return TorusMorphism(f.target, RationalTorus(gt - gs), tuple(tuple(r) for r in q_rows))

@@ -133,6 +133,35 @@ class TestCli:
         assert code == 2
         assert "input error" in err
 
+    @pytest.mark.parametrize("entry", [-2.7, "-2", True])
+    def test_non_integer_gram_entry_is_input_error(self, capsys, tmp_path, entry):
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps({"rank": 2, "gram": [[entry, 1], [1, -2]]}))
+        code, report, err = self.run(capsys, "roots", "--input", str(path))
+        assert code == 2
+        assert report is None
+        assert "input error" in err
+
+    @pytest.mark.parametrize("command", ["roots", "classify", "reconstruct", "normal-form"])
+    def test_top_level_array_is_input_error(self, capsys, tmp_path, command):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([[-2, 1], [1, -2]]))
+        code, report, err = self.run(capsys, command, "--input", str(path))
+        assert code == 2
+        assert report is None
+        assert "input error" in err
+
+    def test_dataset_version_is_input_error(self, capsys, tmp_path):
+        ds, _ = torelli.gen_fixture("rat11", 1)
+        obj = serial.dataset_to_json(ds)
+        obj["version"] = 99
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(obj))
+        code, report, err = self.run(capsys, "classify", "--input", str(path))
+        assert code == 2
+        assert report is None
+        assert "input error" in err
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, _ = self.run(capsys, "classify", "--input", "/nonexistent.json")
         assert code == 2

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from istrata import exact
+from istrata.lattices import IntegralLattice, index_of_sublattice
 
 
 def random_int_matrix(rng, m, n, lo=-9, hi=9):
@@ -96,6 +97,12 @@ class TestDetInverse:
         with pytest.raises(ValueError):
             exact.rational_inverse([[1, 2], [2, 4]])
 
+    def test_unimodular_inverse_rejects_non_unimodular(self):
+        # a ValueError, not an assert, so the check also runs under python -O
+        assert exact.unimodular_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+        with pytest.raises(ValueError):
+            exact.unimodular_inverse([[2, 0], [0, 1]])
+
     def test_solve_unique(self):
         x = exact.solve_unique([[2, 0], [0, 3], [1, 1]], [4, 9, 5])
         assert x == [Fraction(2), Fraction(3)]
@@ -124,7 +131,7 @@ class TestKernels:
     def test_sublattice_index(self):
         rows = exact.identity_matrix(3)
         sub = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
-        assert exact.sublattice_index(rows, sub) == 8
+        assert index_of_sublattice(IntegralLattice(rows), sub) == 8
 
 
 class TestLLLAndShortVectors:

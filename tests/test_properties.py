@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from istrata import exact
@@ -119,3 +120,45 @@ def test_change_composition_law(c1, c2, seed):
 def test_change_fixes_leading_part(c):
     p = random_deformation(11)
     assert apply_change(p, c).t_part(0) == p.t_part(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrix(3))
+def test_rational_inverse_is_two_sided_or_raises(m):
+    if exact.det_bareiss(m) == 0:
+        with pytest.raises(ValueError):
+            exact.rational_inverse(m)
+    else:
+        inv = exact.rational_inverse(m)
+        assert exact.mat_mul(inv, m) == exact.identity_matrix(3)
+        assert exact.mat_mul(m, inv) == exact.identity_matrix(3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(ints, min_size=3, max_size=3), min_size=3, max_size=5),
+    st.lists(fracs, min_size=3, max_size=3),
+)
+def test_solve_unique_recovers_x(a, x):
+    # full column rank, certified by an independent Smith normal form
+    assume(len(exact.invariant_factors(a)) == 3)
+    assert exact.solve_unique(a, exact.mat_vec(a, x)) == x
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=-2, max_value=2), min_size=6, max_size=6),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_pivot_columns_are_greedy_independent_columns(a):
+    def rank(cols):
+        return len(exact.invariant_factors([[row[j] for j in cols] for row in a]))
+
+    greedy = []
+    for j in range(len(a[0])):
+        if rank(greedy + [j]) == len(greedy) + 1:
+            greedy.append(j)
+    assert exact.pivot_columns(a) == greedy

@@ -219,7 +219,7 @@ class TestEnLattice:
             for a in alphas:
                 assert L.norm(a) == -2
                 assert L.pairing(a, kappa) == 0
-            assert exact.rank_of([list(a) for a in alphas]) == n
+            assert len(exact.pivot_columns([list(a) for a in alphas])) == n
 
     def test_bounds(self):
         with pytest.raises(ValueError):

@@ -144,13 +144,13 @@ class TestJW1:
             ("ell111", [1, 2, 2]), ("ell211", [1, 1, 2]),
         ]:
             jw = compute_JW1(build_stratum_model(label))
-            assert marking_pair_indices(jw) == pattern
+            assert sorted(order for _, order in marking_pair_indices(jw)) == pattern
 
     def test_enriques_eta_parameterized(self):
         m = build_stratum_model("enriques")
         jw = compute_JW1(m, eta=(Fraction(1, 2), Fraction(1, 2), 0, Fraction(1, 2)))
         assert jw.projection_degree == 2
-        assert marking_pair_indices(jw) == [2]
+        assert sorted(order for _, order in marking_pair_indices(jw)) == [2]
 
     def test_enriques_bad_eta_rejected(self):
         m = build_stratum_model("enriques")
