@@ -13,6 +13,7 @@ import sys
 
 from . import io as serial
 from . import normalform, strata, torelli
+from .exact import VerificationError
 from .monodromy import (
     build_frame,
     operator_sum,
@@ -216,7 +217,7 @@ def main(argv=None):
     except ValueError as exc:
         print(f"precondition not met: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except AssertionError as exc:
+    except (AssertionError, VerificationError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_FAILED
 

@@ -10,7 +10,12 @@ normal forms and certificates are reproducible bit-for-bit.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
+
+
+class VerificationError(Exception):
+    """An internal certificate failed: the computed result is not trusted."""
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +62,8 @@ def is_zero_vector(v):
 
 
 def dot_gram(u, gram, v):
-    """Pairing u·v with respect to a Gram matrix."""
-    return sum(u[i] * sum(gram[i][j] * v[j] for j in range(len(v))) for i in range(len(u)))
+    """Pairing u·v with respect to a Gram matrix (zero coordinates of u skipped)."""
+    return sum(x * sum(map(mul, row, v)) for x, row in zip(u, gram) if x)
 
 
 # ---------------------------------------------------------------------------
@@ -360,66 +365,86 @@ def saturation(rows):
 
 
 # ---------------------------------------------------------------------------
-# LLL reduction on a Gram matrix (exact, Fraction arithmetic)
-
-
-def _gram_of(u, g0):
-    n = len(u)
-    g0u = [mat_vec(g0, row) for row in u]
-    return [[sum(a * b for a, b in zip(u[i], g0u[j])) for j in range(n)] for i in range(n)]
-
-
-def _gso(gram):
-    """Gram–Schmidt data from a Gram matrix: (B, mu) with B[i]=|b_i*|²."""
-    n = len(gram)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    c = [[Fraction(0)] * n for _ in range(n)]  # c[i][j] = <b_i, b_j*>
-    B = [Fraction(0)] * n
-    for i in range(n):
-        for j in range(i + 1):
-            s = Fraction(gram[i][j])
-            for k in range(j):
-                s -= mu[j][k] * c[i][k]
-            c[i][j] = s
-            if j < i:
-                if B[j] == 0:
-                    raise ValueError("Gram matrix is not positive definite")
-                mu[i][j] = s / B[j]
-        B[i] = c[i][i]
-        if B[i] <= 0:
-            raise ValueError("Gram matrix is not positive definite")
-    return B, mu
+# LLL reduction on a Gram matrix (integral: Cohen, GTM 138, Alg. 2.6.7)
 
 
 def lll_reduce_gram(g0, delta=Fraction(3, 4)):
     """LLL-reduce a positive definite Gram matrix.
 
     Returns (g, u) with g = u·g0·uᵀ the reduced Gram and u unimodular.
+    Integral LLL: d[i] is the i-th leading minor of the current Gram
+    (d[0] = 1) and lam[k][j] = d[j+1]·μ_kj, all Python ints; every division
+    below is exact.  Raises ValueError when g0 is not positive definite.
     """
     n = len(g0)
+    delta = Fraction(delta)
+    p, q = delta.numerator, delta.denominator
+    g = copy_matrix(g0)
     u = identity_matrix(n)
-    gram = copy_matrix(g0)
-    B, mu = _gso(gram)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def new_row(k):
+        # incremental Gram–Schmidt for row k: lam[k][0..k-1] and d[k+1]
+        for j in range(k + 1):
+            t = g[k][j]
+            for i in range(j):
+                t = (d[i + 1] * t - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = t
+            elif t <= 0:
+                raise ValueError("Gram matrix is not positive definite")
+            else:
+                d[k + 1] = t
+
+    def red(k, l):
+        # size-reduce b_k against b_l
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        r = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        u[k] = [x - r * y for x, y in zip(u[k], u[l])]
+        row = [x - r * y for x, y in zip(g[k], g[l])]
+        row[k] -= r * row[l]
+        g[k] = row
+        for j, x in enumerate(row):
+            g[j][k] = x
+        lam[k][l] -= r * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= r * lam[l][i]
+
+    def swap(k):
+        # exchange b_{k-1} and b_k, then update d[k] and column k-1, k of lam
+        u[k - 1], u[k] = u[k], u[k - 1]
+        g[k - 1], g[k] = g[k], g[k - 1]
+        for row in g:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        m = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (b * t + m * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    if n:
+        new_row(0)
+    kmax = 0
     k = 1
     while k < n:
-        # size-reduce row k
-        changed = False
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-                changed = True
-        if changed:
-            gram = _gram_of(u, g0)
-            B, mu = _gso(gram)
-        if B[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * B[k - 1]:
-            k += 1
-        else:
-            u[k], u[k - 1] = u[k - 1], u[k]
-            gram = _gram_of(u, g0)
-            B, mu = _gso(gram)
+        if k > kmax:
+            kmax = k
+            new_row(k)
+        red(k, k - 1)
+        if q * d[k + 1] * d[k - 1] < p * d[k] ** 2 - q * lam[k][k - 1] ** 2:
+            swap(k)
             k = max(k - 1, 1)
-    return gram, u
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return g, u
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +481,13 @@ def short_vectors(gram, bound):
         for k in range(i + 1, n):
             for l in range(k, n):
                 q[k][l] -= q[k][i] * q[i][l]
+    # the centre Σ_{j>i} q[i][j]·x[j] of level i is C / den for the integer
+    # C = Σ a·x[j] over the nonzero columns (j, a = den·q[i][j]) of row i
+    levels = []
+    for i in range(n):
+        den = lcm(*(q[i][j].denominator for j in range(i + 1, n)))
+        cols = [(j, int(q[i][j] * den)) for j in range(i + 1, n) if q[i][j]]
+        levels.append((q[i][i], den, cols))
     bound = Fraction(bound)
     results = []
     x = [0] * n
@@ -466,15 +498,16 @@ def short_vectors(gram, bound):
             if used > 0:
                 results.append(tuple(x))
             return
-        c = sum(q[i][j] * x[j] for j in range(i + 1, n))
-        s = remaining / q[i][i]
+        qii, den, cols = levels[i]
+        c = Fraction(sum(a * x[j] for j, a in cols), den)
+        s = remaining / qii
         hi = _floor_sqrt_plus(s, -c)
         lo = -_floor_sqrt_plus(s, c)
         if not nonzero_above:
             lo = max(lo, 0)
         for xi in range(lo, hi + 1):
             x[i] = xi
-            val = q[i][i] * (xi + c) ** 2
+            val = qii * (xi + c) ** 2
             rec(i - 1, remaining - val, nonzero_above or xi != 0)
         x[i] = 0
 

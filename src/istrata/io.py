@@ -7,6 +7,7 @@ files round-trip exactly; floating point is never produced or accepted.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .lattices import IntegralLattice
@@ -27,11 +28,12 @@ def fraction_to_str(f):
 
 
 def fraction_from_str(s):
-    if isinstance(s, int):
+    """A JSON integer, or a "p" or "p/q" string with q ≠ 0, as a Fraction."""
+    if type(s) is int:
         return Fraction(s)
-    if isinstance(s, str) and "." not in s:
+    if isinstance(s, str) and re.fullmatch(r"-?\d+(/0*[1-9]\d*)?", s):
         return Fraction(s)
-    raise ValueError(f"not an exact rational: {s!r}")
+    raise InputError(f"not an exact rational: {s!r}")
 
 
 def lattice_to_json(lattice):
@@ -46,7 +48,10 @@ def lattice_from_json(obj):
         raise InputError("Gram matrix must be a list of rows of JSON integers")
     if len(gram) != obj["rank"]:
         raise InputError("rank does not match the Gram matrix")
-    return IntegralLattice(gram)
+    try:
+        return IntegralLattice(gram)
+    except ValueError as exc:  # not square or not symmetric
+        raise InputError(str(exc)) from exc
 
 
 def point_to_json(p):
@@ -66,10 +71,9 @@ def polynomial_to_json(poly):
 def polynomial_from_json(obj):
     d = {}
     for key, val in obj.items():
-        exp = tuple(int(e) for e in key.split(","))
-        if len(exp) != 4:
-            raise ValueError(f"bad exponent key {key!r}")
-        d[exp] = fraction_from_str(val)
+        if not re.fullmatch(r"\d+(,\d+){3}", key):
+            raise InputError(f"bad exponent key {key!r}")
+        d[tuple(int(e) for e in key.split(","))] = fraction_from_str(val)
     return WeightedPolynomial.from_dict(d)
 
 

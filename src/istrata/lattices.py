@@ -175,8 +175,8 @@ def orthogonal_complement(L, vectors):
     g = L.gram_lists()
     a = [exact.vec_mat(list(s), g) for s in vectors]
     basis = integer_kernel(a)
-    if basis:
-        assert all(f == 1 for f in invariant_factors(basis)), "complement not saturated"
+    if basis and any(f != 1 for f in invariant_factors(basis)):
+        raise exact.VerificationError("complement not saturated")
     return [tuple(b) for b in basis]
 
 

@@ -371,11 +371,13 @@ def compute_lambda(label):
     xi_t = []
     for x in m.xi:
         c = exact.solve_unique(t_cols, list(x))
-        assert c is not None and all(f.denominator == 1 for f in c)
+        if c is None or any(f.denominator != 1 for f in c):
+            raise exact.VerificationError("ξ is not an integral vector of T")
         xi_t.append([int(f) for f in c])
     q = quotient_by_isotropic(T, xi_t)
     lam = q.lattice
-    assert lam.rank == 24
+    if lam.rank != 24:
+        raise exact.VerificationError(f"Λ has rank {lam.rank}, not 24")
     roots = enumerate_roots(lam)
     dec = decompose_root_system(lam, roots)
     simples = [list(r) for r in dec.all_simple_roots()]

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +155,38 @@ class TestCli:
         assert report is None
         assert "input error" in err
 
+    @pytest.mark.parametrize("gram", [[[-2, 1], [0, -2]], [[-2, 1], [1]]])
+    def test_non_symmetric_or_ragged_gram_is_input_error(self, capsys, tmp_path, gram):
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps({"rank": 2, "gram": gram}))
+        code, report, err = self.run(capsys, "roots", "--input", str(path))
+        assert code == 2
+        assert report is None
+        assert "input error" in err
+
+    def test_float_string_in_dataset_is_input_error(self, capsys, tmp_path):
+        ds, _ = torelli.gen_fixture("rat11", 7)
+        obj = serial.dataset_to_json(ds)
+        pts = next(p for s in obj["summands"] for p in s["psi_points"] if p)
+        pts[0][0] = "0.5"
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(obj))
+        code, report, err = self.run(capsys, "classify", "--input", str(path))
+        assert code == 2
+        assert report is None
+        assert "input error" in err
+
+    @pytest.mark.parametrize("key, value", [("0,0,3,0", "0.5"), ("0,3,0", "1")])
+    def test_malformed_polynomial_is_input_error(self, capsys, tmp_path, key, value):
+        obj = serial.polynomial_to_json(normalform.random_deformation(9))
+        obj[key] = value
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(obj))
+        code, report, err = self.run(capsys, "normal-form", "--input", str(path))
+        assert code == 2
+        assert report is None
+        assert "input error" in err
+
     def test_dataset_version_is_input_error(self, capsys, tmp_path):
         ds, _ = torelli.gen_fixture("rat11", 1)
         obj = serial.dataset_to_json(ds)
@@ -178,3 +214,26 @@ class TestCli:
         code, _, err = self.run(capsys, "normal-form", "--input", str(path))
         assert code == 3
         assert "precondition" in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["verify-stratum", "rat22"],
+            {"root_label": "E7+E7+D10", "root_count": 432, "root_span_index": 4},
+        ),
+        (["roots", "--label", "rat11"], {"root_count": 720}),
+    ],
+)
+def test_cli_under_python_O(argv, expected):
+    """`python -O` strips asserts; the Λ path must still succeed with the same report."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "istrata.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    for key, value in expected.items():
+        assert report[key] == value

@@ -5,6 +5,7 @@ import pytest
 
 from istrata import exact
 from istrata.lattices import IntegralLattice, index_of_sublattice
+from istrata.roots import build_En_lattice
 
 
 def random_int_matrix(rng, m, n, lo=-9, hi=9):
@@ -165,6 +166,21 @@ class TestLLLAndShortVectors:
     def test_not_positive_definite_rejected(self):
         with pytest.raises(ValueError):
             exact.short_vectors([[0, 1], [1, 0]], 2)
+
+    def test_e8_roots_survive_a_large_unimodular_skew(self):
+        L, _, _, _, alphas = build_En_lattice(8)
+        e8 = [[-L.pairing(a, b) for b in alphas] for a in alphas]
+        rng = random.Random(8)
+        u = exact.identity_matrix(8)
+        while max(abs(x) for row in u for x in row) < 1000:
+            i, j = rng.sample(range(8), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        assert is_unimodular(u)
+        skew = exact.mat_mul(exact.mat_mul(u, e8), exact.transpose(u))
+        g, v = exact.lll_reduce_gram(skew)
+        assert g == exact.mat_mul(exact.mat_mul(v, skew), exact.transpose(v))
+        assert len(exact.vectors_of_norm(g, 2)) == 120
 
 
 class TestFloorSqrtHelpers:

@@ -1,6 +1,8 @@
 """Property-based checks of the core exact-arithmetic invariants."""
 
 from fractions import Fraction
+from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -162,3 +164,67 @@ def test_pivot_columns_are_greedy_independent_columns(a):
         if rank(greedy + [j]) == len(greedy) + 1:
             greedy.append(j)
     assert exact.pivot_columns(a) == greedy
+
+
+def _gram_schmidt(gram):
+    """(B, mu) with B[i] = |b_i*|² and mu the Gram–Schmidt coefficients."""
+    g = [[Fraction(x) for x in row] for row in gram]
+    n = len(g)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    B = []
+    for i in range(n):
+        for j in range(i):
+            s = g[i][j] - sum(mu[j][k] * mu[i][k] * B[k] for k in range(j))
+            mu[i][j] = s / B[j]
+        B.append(g[i][i] - sum(mu[i][k] ** 2 * B[k] for k in range(i)))
+    return B, mu
+
+
+def positive_definite_gram(max_rank, entries):
+    """A·Aᵀ + I for a random small integer square matrix A."""
+    def build(a):
+        n = len(a)
+        g = exact.mat_mul(a, exact.transpose(a))
+        return [[g[i][j] + (i == j) for j in range(n)] for i in range(n)]
+
+    return st.integers(min_value=1, max_value=max_rank).flatmap(
+        lambda n: st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ).map(build)
+
+
+@settings(max_examples=80, deadline=None)
+@given(positive_definite_gram(6, st.integers(min_value=-9, max_value=9)))
+def test_lll_is_reduced_and_unimodular(g0):
+    g, u = exact.lll_reduce_gram(g0)
+    assert g == exact.mat_mul(exact.mat_mul(u, g0), exact.transpose(u))
+    assert abs(exact.det_bareiss(u)) == 1
+    B, mu = _gram_schmidt(g)
+    for i in range(len(g)):
+        for j in range(i):
+            assert abs(mu[i][j]) <= Fraction(1, 2)
+        if i:
+            assert B[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * B[i - 1]
+
+
+@pytest.mark.parametrize("gram", [[[0, 1], [1, 0]], [[1, 2], [2, 1]]])
+def test_lll_rejects_indefinite_gram(gram):
+    with pytest.raises(ValueError):
+        exact.lll_reduce_gram(gram)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    positive_definite_gram(4, st.integers(min_value=-2, max_value=2)),
+    st.integers(min_value=1, max_value=6),
+)
+def test_short_vectors_match_box_enumeration(gram, bound):
+    # gram ⪰ I, so every x with xᵀ·gram·x ≤ bound has |xᵢ|² ≤ bound
+    r = isqrt(bound)
+    expected = []
+    for x in product(range(-r, r + 1), repeat=len(gram)):
+        last = next((c for c in reversed(x) if c), 0)
+        if last > 0 and exact.dot_gram(x, gram, x) <= bound:
+            expected.append(x)
+    assert sorted(exact.short_vectors(gram, bound)) == sorted(expected)
