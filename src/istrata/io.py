@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import combinations
 
 from .lattices import IntegralLattice
 from .normalform import WeightedPolynomial
@@ -36,15 +37,22 @@ def fraction_from_str(s):
     raise InputError(f"not an exact rational: {s!r}")
 
 
+def _is_ints(obj, n=None):
+    """A list of JSON integers (bools excluded), of length n when given."""
+    return (
+        isinstance(obj, list)
+        and all(type(x) is int for x in obj)
+        and (n is None or len(obj) == n)
+    )
+
+
 def lattice_to_json(lattice):
     return {"rank": lattice.rank, "gram": [list(row) for row in lattice.gram]}
 
 
 def lattice_from_json(obj):
     gram = obj["gram"]
-    if not isinstance(gram, list) or not all(
-        isinstance(row, list) and all(type(x) is int for x in row) for row in gram
-    ):
+    if not isinstance(gram, list) or not all(_is_ints(row) for row in gram):
         raise InputError("Gram matrix must be a list of rows of JSON integers")
     if len(gram) != obj["rank"]:
         raise InputError("rank does not match the Gram matrix")
@@ -96,29 +104,80 @@ def dataset_to_json(ds):
     }
 
 
-def dataset_from_json(obj):
-    if obj.get("version") != FORMAT_VERSION:
-        raise InputError("unsupported dataset version")
-    summands = tuple(
-        SummandData(
-            label=s["label"],
-            simple_roots=tuple(tuple(r) for r in s["simple_roots"]),
-            zero_flags=tuple(bool(z) for z in s["zero_flags"]),
-            psi_points=tuple(
-                tuple(point_from_json(p) for p in pts) for pts in s["psi_points"]
-            ),
-        )
-        for s in obj["summands"]
-    )
-    return BoundaryDataset(
-        k=obj["k"],
-        pair_pattern=tuple(obj["pair_pattern"]),
-        root_label=obj["root_label"],
-        summands=summands,
-        jw1_pair_indices=tuple(
-            (tuple(pair), order) for pair, order in obj["jw1_pair_indices"]
+_DATASET_KEYS = {"version", "k", "pair_pattern", "root_label", "jw1_pair_indices", "summands"}
+_SUMMAND_KEYS = {"label", "simple_roots", "zero_flags", "psi_points"}
+_LAMBDA_RANK = 24  # simple roots are stored in Λ coordinates
+_POINT_RANK = 2  # ψ values lie in the Jacobian of an elliptic double curve
+
+
+def _check(ok, message):
+    if not ok:
+        raise InputError(f"dataset: {message}")
+
+
+def _summand_from_json(s):
+    _check(isinstance(s, dict) and s.keys() == _SUMMAND_KEYS,
+           f"a summand must have exactly the keys {sorted(_SUMMAND_KEYS)}")
+    _check(isinstance(s["label"], str), "a summand label must be a string")
+    roots = s["simple_roots"]
+    _check(isinstance(roots, list) and all(_is_ints(r, _LAMBDA_RANK) for r in roots),
+           f"simple roots must be lists of {_LAMBDA_RANK} JSON integers")
+    flags = s["zero_flags"]
+    _check(isinstance(flags, list) and all(type(z) is bool for z in flags),
+           "zero_flags must be a list of JSON booleans")
+    points = s["psi_points"]
+    _check(
+        isinstance(points, list)
+        and all(
+            isinstance(curve, list)
+            and len(curve) == len(roots)
+            and all(isinstance(p, list) and len(p) == _POINT_RANK for p in curve)
+            for curve in points
         ),
+        f"psi_points must hold one {_POINT_RANK}-coordinate point per simple root per curve",
     )
+    return SummandData(
+        label=s["label"],
+        simple_roots=tuple(tuple(r) for r in roots),
+        zero_flags=tuple(flags),
+        psi_points=tuple(tuple(point_from_json(p) for p in curve) for curve in points),
+    )
+
+
+def dataset_from_json(obj):
+    """The BoundaryDataset of a document in exactly the layout
+    `dataset_to_json` writes; anything else raises InputError."""
+    version = obj.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise InputError("unsupported dataset version")
+    _check(obj.keys() == _DATASET_KEYS,
+           f"a dataset must have exactly the keys {sorted(_DATASET_KEYS)}")
+    k = obj["k"]
+    _check(type(k) is int and k >= 0, "k must be a nonnegative JSON integer")
+    _check(_is_ints(obj["pair_pattern"]), "pair_pattern must be a list of JSON integers")
+    _check(isinstance(obj["root_label"], str), "root_label must be a string")
+    pairs = obj["jw1_pair_indices"]
+    _check(
+        isinstance(pairs, list)
+        and all(
+            isinstance(e, list) and len(e) == 2 and _is_ints(e[0], 2) and type(e[1]) is int
+            for e in pairs
+        )
+        and [e[0] for e in pairs] == [[i, j] for i, j in combinations(range(k), 2)],
+        "jw1_pair_indices must list [[i, j], order] for each pair i < j < k in order",
+    )
+    _check(isinstance(obj["summands"], list), "summands must be a list")
+    summands = tuple(_summand_from_json(s) for s in obj["summands"])
+    try:
+        return BoundaryDataset(
+            k=k,
+            pair_pattern=tuple(obj["pair_pattern"]),
+            root_label=obj["root_label"],
+            summands=summands,
+            jw1_pair_indices=tuple((tuple(pair), order) for pair, order in pairs),
+        )
+    except ValueError as exc:  # ranks not totalling 24, or per-curve lengths ≠ k
+        raise InputError(f"dataset: {exc}") from exc
 
 
 def dumps(obj):

@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact import VerificationError
+
 WEIGHTS = {"x": 2, "y": 3, "z": 1, "t": 1}
 TOTAL_WEIGHT = 6
 
@@ -84,26 +86,19 @@ class WeightedPolynomial:
 # generic (non-homogeneous) polynomial arithmetic used for substitution
 
 
-def _mul(a, b):
+def _mul(a, b, bound=None):
+    """Product of two exponent dictionaries.  With `bound`, terms whose
+    exponent exceeds it in some variable are dropped."""
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(u + v for u, v in zip(ea, eb))
-            out[e] = out.get(e, Fraction(0)) + ca * cb
+            e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
+            if bound and (
+                e[0] > bound[0] or e[1] > bound[1] or e[2] > bound[2] or e[3] > bound[3]
+            ):
+                continue
+            out[e] = out[e] + ca * cb if e in out else ca * cb
     return {e: c for e, c in out.items() if c != 0}
-
-
-def _pow(a, n):
-    out = {(0, 0, 0, 0): Fraction(1)}
-    for _ in range(n):
-        out = _mul(out, a)
-    return out
-
-
-def _add_into(acc, a, scale=Fraction(1)):
-    for e, c in a.items():
-        acc[e] = acc.get(e, Fraction(0)) + scale * c
-    return acc
 
 
 @dataclass(frozen=True)
@@ -143,18 +138,37 @@ class ChangeOfVariables:
         )
 
 
+def _substitute(poly, change, target=None):
+    """The substituted polynomial as an exponent dictionary.
+
+    The powers of each image are built once, up to the largest exponent of
+    that variable in `poly`.  With `target`, a partial product is dropped as
+    soon as one exponent exceeds the target's; every image term has
+    nonnegative exponents, so the coefficient of `target` is still exact,
+    while the other entries are not.
+    """
+    tables = []
+    for v, img in enumerate(change.images()):
+        top = max((exp[v] for exp, _ in poly.coeffs), default=0)
+        table = [{(0, 0, 0, 0): Fraction(1)}]
+        for _ in range(top):
+            table.append(_mul(table[-1], img, target))
+        tables.append(table)
+    acc = {}
+    for exp, c in poly.coeffs:
+        term = {(0, 0, 0, 0): c}
+        for table, n in zip(tables, exp):
+            if n:
+                term = _mul(term, table[n], target)
+        for e, d in term.items():
+            acc[e] = acc[e] + d if e in acc else d
+    return acc
+
+
 def apply_change(poly, change):
     """Exact substitution; homogeneity is preserved since every replacement
     term has the weight of the variable it replaces."""
-    images = change.images()
-    acc = {}
-    for exp, c in poly.coeffs:
-        term = {(0, 0, 0, 0): Fraction(1)}
-        for img, e in zip(images, exp):
-            if e:
-                term = _mul(term, _pow(img, e))
-        _add_into(acc, term, c)
-    return WeightedPolynomial.from_dict(acc)
+    return WeightedPolynomial.from_dict(_substitute(poly, change))
 
 
 def compose_changes(first, second):
@@ -218,16 +232,17 @@ def leading_form_invariants(poly):
 
 def _solve_parameter(poly, target, make_change):
     """Kill the coefficient of `target` using the one-parameter family
-    u ↦ make_change(u).
+    u ↦ make_change(u), where make_change(0) is the identity.
 
     The coefficient is an affine function of u; two evaluations determine
     it, a third certifies affinity, and the slope must be nonzero.
     """
-    c0 = apply_change(poly, make_change(Fraction(0))).coefficient(target)
-    c1 = apply_change(poly, make_change(Fraction(1))).coefficient(target)
-    c2 = apply_change(poly, make_change(Fraction(2))).coefficient(target)
+    def probe(u):
+        return _substitute(poly, make_change(Fraction(u)), target).get(target, Fraction(0))
+
+    c0, c1, c2 = poly.coefficient(target), probe(1), probe(2)
     if c2 - c1 != c1 - c0:
-        raise AssertionError("coefficient is not affine in the parameter")
+        raise VerificationError("coefficient is not affine in the parameter")
     slope = c1 - c0
     if slope == 0:
         raise ValueError(f"cannot normalize {_mono_str(target)}: degenerate slope")
@@ -281,9 +296,12 @@ def reduce_to_standard_form(poly):
     total = compose_changes(total, ch)
 
     for t in _BETA_TARGETS + _ALPHA_TARGETS + (target,):
-        assert current.coefficient(t) == 0
-    assert current.t_part(0) == poly.t_part(0)
-    assert apply_change(poly, total).coeffs == current.coeffs
+        if current.coefficient(t) != 0:
+            raise VerificationError(f"{_mono_str(t)} survived the reduction")
+    if current.t_part(0) != poly.t_part(0):
+        raise VerificationError("the reduction moved the t⁰ part")
+    if apply_change(poly, total).coeffs != current.coeffs:
+        raise VerificationError("the composed change does not give the reduced form")
     return StandardFormResult(polynomial=current, change=total, branch=branch)
 
 
@@ -310,7 +328,8 @@ def cstar_weights(branch="g2"):
         ("f", (0, 0, 0, 6), 6),
     )
     for name, exp, w in slots:
-        assert exp[3] == w and monomial_weight(exp) == TOTAL_WEIGHT
+        if exp[3] != w or monomial_weight(exp) != TOTAL_WEIGHT:
+            raise VerificationError(f"slice coordinate {name} has the wrong weight")
     return slots
 
 

@@ -51,6 +51,19 @@ class TestSerialization:
         assert a == b
 
 
+def _flags_as_strings(obj):
+    for s in obj["summands"]:
+        s["zero_flags"] = ["no" if z is False else z for z in s["zero_flags"]]
+
+
+def _k_as_string(obj):
+    obj["k"] = "3"
+
+
+def _simple_root_entry_as_string(obj):
+    obj["summands"][0]["simple_roots"][0][0] = "1"
+
+
 class TestCli:
     def run(self, capsys, *argv):
         code = main(list(argv))
@@ -187,6 +200,22 @@ class TestCli:
         assert report is None
         assert "input error" in err
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [_flags_as_strings, _k_as_string, _simple_root_entry_as_string],
+        ids=lambda f: f.__name__.strip("_"),
+    )
+    def test_dataset_schema_is_strict(self, capsys, tmp_path, corrupt):
+        code, obj, _ = self.run(capsys, "gen-fixture", "rat21", "--seed", "3")
+        assert code == 0
+        corrupt(obj)
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(obj))
+        code, report, err = self.run(capsys, "classify", "--input", str(path))
+        assert code == 2
+        assert report is None
+        assert "input error" in err
+
     def test_dataset_version_is_input_error(self, capsys, tmp_path):
         ds, _ = torelli.gen_fixture("rat11", 1)
         obj = serial.dataset_to_json(ds)
@@ -224,10 +253,11 @@ class TestCli:
             {"root_label": "E7+E7+D10", "root_count": 432, "root_span_index": 4},
         ),
         (["roots", "--label", "rat11"], {"root_count": 720}),
+        (["normal-form", "--seed", "9"], {"branch": "g2"}),
     ],
 )
 def test_cli_under_python_O(argv, expected):
-    """`python -O` strips asserts; the Λ path must still succeed with the same report."""
+    """`python -O` strips asserts; the checked paths must still succeed with the same report."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "istrata.cli", *argv],

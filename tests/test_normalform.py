@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from istrata import normalform
+from istrata.exact import VerificationError
 from istrata.normalform import (
     ChangeOfVariables,
     WeightedPolynomial,
@@ -152,6 +154,14 @@ class TestReduction:
     def test_cusp_rejected(self):
         with pytest.raises(ValueError, match="cuspidal"):
             reduce_to_standard_form(random_deformation(5, cuspidal=True))
+
+    def test_wrong_composed_change_is_caught(self, monkeypatch):
+        # the final check re-applies the composed change to the input
+        monkeypatch.setattr(
+            normalform, "compose_changes", lambda first, second: ChangeOfVariables.identity()
+        )
+        with pytest.raises(VerificationError):
+            reduce_to_standard_form(random_deformation(3))
 
     def test_change_invariance_of_slice(self):
         # a scrambled polynomial reduces to the same slice point

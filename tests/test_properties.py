@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from istrata import exact
 from istrata.normalform import apply_change, compose_changes, random_deformation
-from istrata.normalform import ChangeOfVariables
+from istrata.normalform import ChangeOfVariables, _substitute, monomial_weight
 from istrata.tori import RationalTorus, TorusPoint
 
 ints = st.integers(min_value=-20, max_value=20)
@@ -122,6 +122,20 @@ def test_change_composition_law(c1, c2, seed):
 def test_change_fixes_leading_part(c):
     p = random_deformation(11)
     assert apply_change(p, c).t_part(0) == p.t_part(0)
+
+
+WEIGHT6_MONOMIALS = [
+    e for e in product(range(4), range(3), range(7), range(7)) if monomial_weight(e) == 6
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(changes, st.integers(min_value=0, max_value=10**6))
+def test_pruned_substitution_matches_full_coefficient(c, seed):
+    p = random_deformation(seed)
+    full = apply_change(p, c)
+    for m in WEIGHT6_MONOMIALS:
+        assert _substitute(p, c, m).get(m, 0) == full.coefficient(m)
 
 
 @settings(max_examples=60, deadline=None)
