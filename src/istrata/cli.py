@@ -217,7 +217,7 @@ def main(argv=None):
     except ValueError as exc:
         print(f"precondition not met: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (AssertionError, VerificationError) as exc:
+    except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_FAILED
 

@@ -54,6 +54,8 @@ def lattice_from_json(obj):
     gram = obj["gram"]
     if not isinstance(gram, list) or not all(_is_ints(row) for row in gram):
         raise InputError("Gram matrix must be a list of rows of JSON integers")
+    if type(obj["rank"]) is not int:
+        raise InputError("rank must be a JSON integer")
     if len(gram) != obj["rank"]:
         raise InputError("rank does not match the Gram matrix")
     try:

@@ -140,15 +140,17 @@ def _check_frame(frame):
     for a in cycles:
         for b in cycles:
             if exact.dot_gram(list(a), g, list(b)) != 0:
-                raise AssertionError("cycle span is not isotropic")
+                raise exact.VerificationError("cycle span is not isotropic")
     w1 = [list(r) for r in frame.w1_basis]
     if len(w1) != 4 or any(f != 1 for f in exact.invariant_factors(w1)):
-        raise AssertionError("W1 is not a primitive rank-4 sublattice")
+        raise exact.VerificationError("W1 is not a primitive rank-4 sublattice")
     if frame.label == "ell111":
         a1, a2, a3 = frame.alphas
         b1, b2, b3 = frame.betas
-        assert list(a3) == exact.vec_add(exact.vec_scale(2, list(a1)), list(a2))
-        assert list(b3) == exact.vec_add(list(b1), exact.vec_scale(2, list(b2)))
+        if list(a3) != exact.vec_add(exact.vec_scale(2, list(a1)), list(a2)):
+            raise exact.VerificationError("α₃ ≠ 2α₁ + α₂ on the ell111 frame")
+        if list(b3) != exact.vec_add(list(b1), exact.vec_scale(2, list(b2))):
+            raise exact.VerificationError("β₃ ≠ β₁ + 2β₂ on the ell111 frame")
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +214,8 @@ def weight_data(N):
     ) or not nonzero
     ker = exact.integer_kernel(m)
     for v in im:
-        assert exact.is_zero_vector(exact.mat_vec(m, v)), "Im not inside Ker"
+        if not exact.is_zero_vector(exact.mat_vec(m, v)):
+            raise exact.VerificationError("Im not inside Ker")
     return im, ker, len(im), was_saturated
 
 

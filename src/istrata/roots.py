@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import exact
-from .lattices import IntegralLattice, inertia, lattice_predicates
+from .lattices import IntegralLattice, lattice_predicates
 
 
 # ---------------------------------------------------------------------------
@@ -34,21 +35,15 @@ def enumerate_roots(L):
 
     Requires L negative definite.  The lattice basis may be badly skewed
     (rank-24 quotient bases are), so the negated Gram is LLL-reduced before
-    Fincke–Pohst enumeration.
+    Fincke–Pohst enumeration.  Definiteness is not checked separately: the
+    integral LLL rejects a leading minor ≤ 0 of −G (Sylvester's criterion).
     """
-    np_, nm, nz = inertia(L.gram_lists())
-    if np_ or nz:
-        raise ValueError("lattice is not negative definite")
-    pos = [[-x for x in row] for row in L.gram]
-    if L.rank == 1:
-        reduced, u = pos, exact.identity_matrix(1)
-    else:
-        reduced, u = exact.lll_reduce_gram(pos)
-    out = []
-    for x in exact.vectors_of_norm(reduced, 2):
-        v = exact.vec_mat(list(x), u)
-        out.append(_sign_canonical(v))
-    return sorted(out)
+    try:
+        reduced, u = exact.lll_reduce_gram([[-x for x in row] for row in L.gram])
+        short = exact.vectors_of_norm(reduced, 2)
+    except ValueError:
+        raise ValueError("lattice is not negative definite") from None
+    return sorted(_sign_canonical(exact.vec_mat(list(x), u)) for x in short)
 
 
 def weyl_reflect(L, alpha, x):
@@ -150,28 +145,44 @@ def _ade_label(simples, pairing):
     raise ValueError("diagram is not of ADE type")
 
 
+def _simple_roots(L, roots):
+    """Simple roots of a closed root set, as a dict α ↦ G·α in the order of
+    `roots`.
+
+    The simple roots are the positive roots (generic functional) that are
+    not sums of two positive roots.  They are found in one pass in ascending
+    lexicographic order, the order of that functional (Humphreys, *Lie
+    Algebras*, §10.2): for roots of a negative definite lattice, r − α is a
+    root iff r·α = −1, and every non-simple positive r has a simple α
+    earlier in the order with r − α positive.  So r is simple iff r·α ≠ −1
+    for every simple α kept so far.
+    """
+    positives = [
+        tuple(r) if _is_positive(r) else tuple(-x for x in r) for r in roots
+    ]
+    dual = {}
+    for r in sorted(positives):
+        if all(sum(map(mul, r, ga)) != -1 for ga in dual.values()):
+            dual[r] = [sum(map(mul, row, r)) for row in L.gram]
+    return {r: dual[r] for r in positives if r in dual}
+
+
 def decompose_root_system(L, roots):
     """Split a closed root set into irreducible ADE components.
 
     `roots` is the output of enumerate_roots (one per ± pair); the count
-    reported doubles it back to the full set.  Simple roots are the positive
-    roots (generic functional) that are not sums of two positive roots.
+    reported doubles it back to the full set.  The simple roots keep the
+    order of `roots` (see _simple_roots), which fixes the order of equal
+    components.  The closed-form root counts of the components must add up
+    to the number of roots (exact.VerificationError otherwise).
     """
-    full = []
-    for r in roots:
-        full.append(tuple(r))
-        full.append(tuple(-x for x in r))
-    positives = [r for r in full if _is_positive(r)]
-    pos_set = set(positives)
-    simples = []
-    for r in positives:
-        decomposable = any(
-            tuple(a - b for a, b in zip(r, s)) in pos_set for s in positives
-        )
-        if not decomposable:
-            simples.append(r)
+    dual = _simple_roots(L, roots)
+    simples = list(dual)
+
+    def pair(a, b):
+        return sum(map(mul, a, dual[b]))
+
     # sanity: simple roots pair in {0, 1} with each other (negated Cartan)
-    pair = L.pairing
     for i, a in enumerate(simples):
         for b in simples[i + 1:]:
             if pair(a, b) not in (0, 1):
@@ -199,9 +210,12 @@ def decompose_root_system(L, roots):
         label, ordered = _ade_label(sub, pair)
         labeled.append((label, ordered))
     labeled.sort(key=_label_sort_key)
-    return RootDecomposition(
-        lattice=L, components=tuple(labeled), total_root_count=2 * len(roots)
-    )
+    count = 2 * len(roots)
+    if sum(ade_root_count(label) for label, _ in labeled) != count:
+        raise exact.VerificationError(
+            "component root counts do not add up to the number of roots"
+        )
+    return RootDecomposition(lattice=L, components=tuple(labeled), total_root_count=count)
 
 
 def _label_sort_key(comp):

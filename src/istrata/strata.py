@@ -297,28 +297,28 @@ def _validate_model(m):
     k = m.k
     for i, x in enumerate(m.xi):
         if amb.norm(x) != 0:
-            raise AssertionError("ξᵢ not isotropic")
+            raise exact.VerificationError("ξᵢ not isotropic")
         if amb.pairing(x, m.l_total) != 0:
-            raise AssertionError("ξᵢ·[L] ≠ 0")
+            raise exact.VerificationError("ξᵢ·[L] ≠ 0")
         for y in m.xi[i + 1:]:
             if amb.pairing(x, y) != 0:
-                raise AssertionError("ξᵢ·ξⱼ ≠ 0")
+                raise exact.VerificationError("ξᵢ·ξⱼ ≠ 0")
     if amb.norm(m.l_total) != 1:
-        raise AssertionError("[L]² ≠ 1")
+        raise exact.VerificationError("[L]² ≠ 1")
     yt = m.y_tilde
     for i, d in yt.double_curves.items():
         if yt.lattice.pairing(yt.l_class, d) != 0:
-            raise AssertionError("[L]·Dᵢ ≠ 0 on Ỹ")
+            raise exact.VerificationError("[L]·Dᵢ ≠ 0 on Ỹ")
         mi = -yt.lattice.norm(d)
         z = m.dp_components[i - 1]
         if z.lattice.norm(z.double_curves[i]) != mi:
-            raise AssertionError("D′ᵢ² on Zᵢ ≠ mᵢ")
+            raise exact.VerificationError("D′ᵢ² on Zᵢ ≠ mᵢ")
     if amb.rank - (2 * k + 1) != 24:
-        raise AssertionError("rank bookkeeping fails")
+        raise exact.VerificationError("rank bookkeeping fails")
     # the ξ span is primitive
     facs = exact.invariant_factors([list(x) for x in m.xi])
     if len(facs) != k or any(f != 1 for f in facs):
-        raise AssertionError("ξ span not primitive")
+        raise exact.VerificationError("ξ span not primitive")
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +636,8 @@ class ExtensionMap:
         z = self.model.dp_components[i]
         dy = yt.lattice.pairing(u, yt.double_curves[i + 1])
         dz = z.lattice.pairing(parts[i], z.double_curves[i + 1])
-        assert dy == dz, "restriction degrees inconsistent"
+        if dy != dz:
+            raise exact.VerificationError("restriction degrees inconsistent")
         return dy
 
     def block_table(self):
@@ -671,10 +672,10 @@ def extension_map(model, lam, restriction, jw1=None):
     for x in model.xi:
         for i in range(model.k):
             if not psi.psi_component_ambient(list(x), i).is_zero():
-                raise AssertionError("ψ does not kill ξ")
+                raise exact.VerificationError("ψ does not kill ξ")
     for i in range(model.k):
         if not psi.psi_component_ambient(list(model.l_total), i).is_zero():
-            raise AssertionError("ψ does not kill [L]")
+            raise exact.VerificationError("ψ does not kill [L]")
     return psi
 
 
@@ -691,7 +692,8 @@ def rat22_class_solve():
         b = 10 - 3 * a
         if a * a - 10 - b * b == 2:
             sols.append((a, b))
-    assert sols == [(4, -2)]
+    if sols != [(4, -2)]:
+        raise exact.VerificationError(f"rat22 class constraints solved by {sols}")
     a, b = sols[0]
     cls = _rat_basis_class(13, h=a, eps=[(j, -1) for j in range(1, 11)] + [(11, b)])
     return a, b, cls
@@ -731,7 +733,8 @@ def construct_beta11(lam=None):
                 continue
             if all(f.denominator == 1 for f in x):
                 beta = tuple(int(f) for f in x)
-                assert L.norm(beta) == -4
+                if L.norm(beta) != -4:
+                    raise exact.VerificationError("β₁₁² ≠ −4")
                 order = _coset_order(lam, beta)
                 return beta, order
     raise ValueError("no integral β₁₁ for any labeling choice")
@@ -741,7 +744,8 @@ def _coset_order(lam, v):
     """Order of v + Λ_R in Λ/Λ_R (lcm of denominators over the root basis)."""
     simples = [list(s) for s in lam.root_data.all_simple_roots()]
     x = exact.solve_unique(exact.transpose(simples), list(v))
-    assert x is not None
+    if x is None:
+        raise exact.VerificationError("vector is not in the span of the simple roots")
     return lcm(*(f.denominator for f in x))
 
 
@@ -809,7 +813,8 @@ def completed_E8_roots(model):
     span = [list(x) for x in model.xi] + [list(model.l_total)]
     for grp in groups:
         for r in grp:
-            assert amb.norm(r) == -2
-            for s in span:
-                assert amb.pairing(r, s) == 0
+            if amb.norm(r) != -2:
+                raise exact.VerificationError("summand basis vector is not a root")
+            if any(amb.pairing(r, s) != 0 for s in span):
+                raise exact.VerificationError("summand root not orthogonal to ξ and [L]")
     return groups

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
+from .exact import VerificationError
 from .monodromy import build_frame, pair_index_pattern
 from .roots import build_En_lattice
 from .strata import (
@@ -95,7 +96,8 @@ def reconstruct_points(periods, n=None):
     for t in n_torsion(T, 3):
         p1 = base + t
         config = AnticanonicalConfig(T, tuple(p1 + ci for ci in c))
-        assert period_map(config).values == v
+        if period_map(config).values != v:
+            raise VerificationError("configuration does not have the given periods")
         orbit.append(config)
     canonical = min(orbit, key=_flatten)
     return ReconstructionResult(orbit=tuple(orbit), canonical=canonical)

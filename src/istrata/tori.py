@@ -203,7 +203,8 @@ def quotient_torus(T, points):
     a = [[Fraction(basis[j][i], denom) for j in range(g)] for i in range(g)]
     m = exact.rational_inverse(a)
     proj = TorusMorphism(T, RationalTorus(g), tuple(tuple(r) for r in m))
-    assert proj.degree() == len(closure)
+    if proj.degree() != len(closure):
+        raise exact.VerificationError("quotient degree differs from the subgroup order")
     return proj.target, proj
 
 
@@ -252,7 +253,7 @@ def build_jw1_cover_diagram():
 
     The two covers Γᵢ → B are degree 2 with pullback kernels η₁ = (1/2, 0)
     and η₂ = (0, 1/2); the section curve σ maps isomorphically to B.  The
-    construction asserts: each marking is injective, JΓ₁⊕JΓ₂ → JW₁ is an
+    construction checks: each marking is injective, JΓ₁⊕JΓ₂ → JW₁ is an
     isomorphism, and JΓᵢ⊕Jσ → JW₁ has kernel of order 2.
     """
     B = RationalTorus(2)
@@ -261,8 +262,10 @@ def build_jw1_cover_diagram():
     c2 = TorusMorphism(B, g2, ((1, 0), (0, 2)))
     grp1, gens1 = kernel_points(c1)
     grp2, gens2 = kernel_points(c2)
-    assert grp1.order == 2 and gens1[0].coords == (Fraction(1, 2), Fraction(0))
-    assert grp2.order == 2 and gens2[0].coords == (Fraction(0), Fraction(1, 2))
+    if grp1.order != 2 or gens1[0].coords != (Fraction(1, 2), Fraction(0)):
+        raise exact.VerificationError("ker(JB → JΓ₁) is not ⟨(1/2, 0)⟩")
+    if grp2.order != 2 or gens2[0].coords != (Fraction(0), Fraction(1, 2)):
+        raise exact.VerificationError("ker(JB → JΓ₂) is not ⟨(0, 1/2)⟩")
     cs = identity_morphism(B)  # Jσ ≅ JB
     embed = stack_morphisms([c1, c2, TorusMorphism(B, s, cs.matrix)])
     proj = quotient_by_subtorus(embed)
@@ -288,12 +291,15 @@ def build_jw1_cover_diagram():
     ms = renorm.compose(raws)
     for m in (m1, m2, ms):
         grp, _ = kernel_points(m)
-        assert grp.order == 1, "marking not injective"
+        if grp.order != 1:
+            raise exact.VerificationError("marking not injective")
     iso = [list(a) + list(b) for a, b in zip(m1.matrix, m2.matrix)]
-    assert abs(exact.det_bareiss(iso)) == 1
+    if abs(exact.det_bareiss(iso)) != 1:
+        raise exact.VerificationError("JΓ₁ ⊕ JΓ₂ → JW₁ is not an isomorphism")
     for mi in (m1, m2):
         grp, gens = kernel_points(stack_via_sum(mi, ms))
-        assert grp.order == 2
+        if grp.order != 2:
+            raise exact.VerificationError("JΓᵢ ⊕ Jσ → JW₁ kernel is not of order 2")
     return Jw1CoverDiagram(
         base=B, gamma1=g1, gamma2=g2, sigma=s,
         cover1=c1, cover2=c2, jw1=jw1, projection=proj,

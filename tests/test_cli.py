@@ -159,6 +159,19 @@ class TestCli:
         assert report is None
         assert "input error" in err
 
+    @pytest.mark.parametrize(
+        "lattice",
+        [{"rank": True, "gram": [[-2]]}, {"rank": 2.0, "gram": [[-2, 1], [1, -2]]}],
+        ids=["bool", "float"],
+    )
+    def test_non_integer_rank_is_input_error(self, capsys, tmp_path, lattice):
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps(lattice))
+        code, report, err = self.run(capsys, "roots", "--input", str(path))
+        assert code == 2
+        assert report is None
+        assert "input error" in err
+
     @pytest.mark.parametrize("command", ["roots", "classify", "reconstruct", "normal-form"])
     def test_top_level_array_is_input_error(self, capsys, tmp_path, command):
         path = tmp_path / "list.json"
@@ -254,15 +267,23 @@ class TestCli:
         ),
         (["roots", "--label", "rat11"], {"root_count": 720}),
         (["normal-form", "--seed", "9"], {"branch": "g2"}),
+        # a str is the expected precondition failure (exit 3)
+        (["roots", "--input", "indefinite.json"], "lattice is not negative definite"),
     ],
 )
-def test_cli_under_python_O(argv, expected):
-    """`python -O` strips asserts; the checked paths must still succeed with the same report."""
+def test_cli_under_python_O(argv, expected, tmp_path):
+    """`python -O` strips asserts; the checked paths must still succeed with the
+    same report, and the definiteness check must still reject an indefinite lattice."""
+    (tmp_path / "indefinite.json").write_text('{"rank": 2, "gram": [[-2, 3], [3, -2]]}')
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "istrata.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=600,
+        env=env, capture_output=True, text=True, timeout=600, cwd=tmp_path,
     )
+    if isinstance(expected, str):
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == f"precondition not met: {expected}\n"
+        return
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     for key, value in expected.items():

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
 from istrata import exact
 from istrata.monodromy import (
+    _check_frame,
     build_frame,
     operator_sum,
     pair_index_pattern,
@@ -24,6 +26,13 @@ class TestFrames:
         for kind in FRAME_KINDS:
             f = build_frame(kind)
             assert len(f.w1_basis) == 4
+
+    def test_broken_ell111_relation_is_verification_error(self):
+        # a check that must still run under python -O
+        f = build_frame("ell111")
+        a1, a2, _ = f.alphas
+        with pytest.raises(exact.VerificationError, match="α₃"):
+            _check_frame(dataclasses.replace(f, alphas=(a1, a2, a1)))
 
     def test_stratum_aliases(self):
         assert build_frame("rat11").label == "rational"

@@ -9,8 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from istrata import exact
+from istrata.lattices import IntegralLattice, direct_sum, inertia, is_negative_definite
 from istrata.normalform import apply_change, compose_changes, random_deformation
 from istrata.normalform import ChangeOfVariables, _substitute, monomial_weight
+from istrata.roots import _simple_roots, decompose_root_system, enumerate_roots
 from istrata.tori import RationalTorus, TorusPoint
 
 ints = st.integers(min_value=-20, max_value=20)
@@ -242,3 +244,92 @@ def test_short_vectors_match_box_enumeration(gram, bound):
         if last > 0 and exact.dot_gram(x, gram, x) <= bound:
             expected.append(x)
     assert sorted(exact.short_vectors(gram, bound)) == sorted(expected)
+
+
+def _neg_cartan(label):
+    """−Cartan of an irreducible ADE type, Bourbaki numbering."""
+    fam, n = label[0], int(label[1:])
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if fam == "D":
+        edges = edges[:-1] + [(n - 3, n - 1)]
+    elif fam == "E":
+        edges = [(0, 2), (2, 3), (1, 3)] + [(i, i + 1) for i in range(3, n - 1)]
+    g = [[-2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        g[i][j] = g[j][i] = 1
+    return g
+
+
+ade_labels = st.sampled_from(
+    ["A1", "A2", "A3", "A5", "D4", "D5", "D6", "E6", "E7", "E8"]
+)
+elementary_ops = st.lists(
+    st.tuples(st.integers(0, 99), st.integers(1, 99), st.integers(-2, 2)),
+    max_size=16,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(ade_labels, min_size=1, max_size=3), elementary_ops, st.randoms())
+def test_height_ordered_simple_roots_match_pairwise_rule(labels, ops, rng):
+    lat = direct_sum(*(IntegralLattice(_neg_cartan(x)) for x in labels))
+    n = lat.rank
+    # a random unimodular basis change: row i += c·row j
+    u = exact.identity_matrix(n)
+    for i, k, c in ops:
+        i, j = i % n, (i + k) % n
+        if i != j:
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    g = exact.mat_mul(exact.mat_mul(u, lat.gram_lists()), exact.transpose(u))
+    L = IntegralLattice(g)
+    # one root per ± pair in a random order and with random signs
+    roots = [r if rng.random() < 0.5 else tuple(-x for x in r) for r in enumerate_roots(L)]
+    rng.shuffle(roots)
+    # reference: the positive roots that are not a sum of two positive roots,
+    # in the order of `roots`
+    positives = [max(r, tuple(-x for x in r)) for r in roots]
+    pos_set = set(positives)
+    expected = [
+        r for r in positives
+        if not any(tuple(a - b for a, b in zip(r, s)) in pos_set for s in positives)
+    ]
+    assert list(_simple_roots(L, roots)) == expected
+    dec = decompose_root_system(L, roots)
+    assert sorted(dec.all_simple_roots()) == sorted(expected)
+    assert sorted(dec.label.split("+")) == sorted(labels)
+
+
+def _symmetric(upper, n):
+    g = [[0] * n for _ in range(n)]
+    it = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = next(it)
+    return g
+
+
+def _negated_gram(a):
+    """−A·Aᵀ: negative semidefinite, definite iff A has full row rank."""
+    return [[-x for x in row] for row in exact.mat_mul(a, exact.transpose(a))]
+
+
+small_symmetric = st.one_of(
+    st.integers(0, 4).flatmap(
+        lambda n: st.lists(
+            st.integers(-3, 2), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2
+        ).map(lambda upper: _symmetric(upper, n))
+    ),
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        ).map(_negated_gram)
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_symmetric)
+def test_sylvester_check_matches_inertia(g):
+    n = len(g)
+    assert is_negative_definite(IntegralLattice(g)) == (inertia(g) == (0, n, 0))

@@ -44,6 +44,14 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_roots(IntegralLattice([[0, 1], [1, 0]]))
 
+    @pytest.mark.parametrize(
+        "gram", [[[0]], [[-2, 3], [3, -2]], [[-2, 0], [0, 0]]],
+        ids=["zero", "indefinite", "semidefinite"],
+    )
+    def test_not_negative_definite_message(self, gram):
+        with pytest.raises(ValueError, match="^lattice is not negative definite$"):
+            enumerate_roots(IntegralLattice(gram))
+
     def test_all_norm_minus_two_once(self):
         rs = enumerate_roots(E6)
         assert len(set(rs)) == len(rs)
@@ -128,6 +136,13 @@ class TestDecompose:
         assert label == "A4"
         for a, b in zip(simples, simples[1:]):
             assert A4.pairing(a, b) == 1
+
+    def test_root_count_certificate_rejects_unclosed_set(self):
+        # A2 without α + β: the two simple roots still form an A2 diagram,
+        # whose 6 roots differ from the 4 passed in
+        A2 = IntegralLattice([[-2, 1], [1, -2]])
+        with pytest.raises(exact.VerificationError, match="root counts"):
+            decompose_root_system(A2, [(0, 1), (1, 0)])
 
     def test_closed_form_counts(self):
         for L, label in [(E6, "E6"), (E7, "E7"), (E8, "E8")]:
