@@ -179,7 +179,8 @@ def build_parser():
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("monodromy", help="frame pattern and primitivity")
-    p.add_argument("label")
+    # a stratum, or one of the frame kinds rational/enriques/ell111/ell211
+    p.add_argument("label", choices=(*strata.STRATUM_LABELS, "rational"))
     p.set_defaults(func=cmd_monodromy)
 
     p = sub.add_parser("reconstruct", help="recover the (1,1,1) point data")

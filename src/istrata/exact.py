@@ -46,7 +46,7 @@ def mat_vec(a, v):
 
 def vec_mat(v, a):
     """Row vector times matrix."""
-    return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))]
+    return [sum(map(mul, v, col)) for col in zip(*a)]
 
 
 def vec_add(u, v):
@@ -320,11 +320,20 @@ def rational_inverse(a):
 
 
 def unimodular_inverse(u):
-    """Integer inverse of a unimodular integer matrix."""
-    inv = rational_inverse(u)
-    if any(x.denominator != 1 for row in inv for x in row):
+    """Integer right inverse r (u·r = I) of an m×n integer matrix whose m
+    invariant factors are all 1; for square u it is the inverse.
+
+    From the Smith form P·u·V = [I | 0], r = V[:, :m]·P (Cohen, GTM 138,
+    §2.4.4).  Raises ValueError when u has more rows than columns or an
+    invariant factor other than 1.
+    """
+    m = len(u)
+    if m and m > len(u[0]):
         raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in inv]
+    p, d, v = smith_normal_form(u)
+    if any(d[i][i] != 1 for i in range(m)):
+        raise ValueError("matrix is not unimodular")
+    return mat_mul([row[:m] for row in v], p)
 
 
 def solve_unique(a, b):

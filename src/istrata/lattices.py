@@ -203,10 +203,7 @@ class QuotientResult:
 
     def project(self, v):
         """Quotient coordinates of an ambient vector."""
-        return tuple(
-            sum(self.projection[i][j] * v[j] for j in range(len(v)))
-            for i in range(len(self.projection))
-        )
+        return tuple(exact.mat_vec(self.projection, v))
 
 
 def quotient_by_isotropic(L, s_rows):

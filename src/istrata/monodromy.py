@@ -24,12 +24,6 @@ def _u4_gram():
     return g
 
 
-def _e(i, *, coeff=1):
-    v = [0] * 8
-    v[i] = coeff
-    return v
-
-
 def _comb(*terms):
     v = [0] * 8
     for c, i in terms:
@@ -163,9 +157,7 @@ class MonodromyOperator:
     pair_index: int | None  # generating i (1-based), None for sums
 
     def apply(self, x):
-        return tuple(
-            sum(row[j] * x[j] for j in range(len(x))) for row in self.matrix
-        )
+        return tuple(exact.mat_vec(self.matrix, x))
 
     def __call__(self, x):
         return self.apply(x)

@@ -329,33 +329,23 @@ def _validate_model(m):
 class LambdaLattice:
     stratum: str
     lattice: IntegralLattice  # rank 24
-    t_basis: tuple  # rows: basis of {ξ,[L]}⊥ in ambient coordinates
-    xi_t: tuple  # ξᵢ in T coordinates
-    lifts: tuple  # rows: coset lifts of the Λ basis, in T coordinates
+    t_basis: tuple  # rows: basis of T = {ξ,[L]}⊥ in ambient coordinates
+    t_inverse: tuple  # integer right inverse of t_basis: T coords = v·t_inverse
+    lifts: tuple  # rows: coset lifts of the Λ basis, in ambient coordinates
     projection: tuple  # 24×rank(T): Λ coords of a T vector
     root_data: object  # RootDecomposition
     root_index: int  # [Λ : Λ_R]
 
     def lift_to_ambient(self, lam):
         """Ambient representative of a Λ vector (coset choice fixed by lifts)."""
-        t_vec = [0] * len(self.t_basis)
-        for c, row in zip(lam, self.lifts):
-            t_vec = exact.vec_add(t_vec, exact.vec_scale(c, list(row)))
-        amb = [0] * len(self.t_basis[0])
-        for c, row in zip(t_vec, self.t_basis):
-            amb = exact.vec_add(amb, exact.vec_scale(c, list(row)))
-        return tuple(amb)
+        return tuple(exact.vec_mat(lam, self.lifts))
 
     def ambient_to_lambda(self, v):
         """Λ coordinates of an ambient vector lying in {ξ,[L]}⊥ ∩ ℤ-span(T)."""
-        t = exact.solve_unique(exact.transpose([list(r) for r in self.t_basis]), list(v))
-        if t is None or any(f.denominator != 1 for f in t):
+        t = exact.vec_mat(v, self.t_inverse)
+        if exact.vec_mat(t, self.t_basis) != list(v):
             raise ValueError("vector does not lie in the complement lattice")
-        t = [int(f) for f in t]
-        return tuple(
-            sum(self.projection[i][j] * t[j] for j in range(len(t)))
-            for i in range(24)
-        )
+        return tuple(exact.mat_vec(self.projection, t))
 
 
 @lru_cache(maxsize=None)
@@ -364,16 +354,15 @@ def compute_lambda(label):
     m = build_stratum_model(label)
     amb = m.ambient
     span = [list(x) for x in m.xi] + [list(m.l_total)]
-    t_basis = orthogonal_complement(amb, span)
+    t_basis = [list(r) for r in orthogonal_complement(amb, span)]
     t_gram = [[amb.pairing(a, b) for b in t_basis] for a in t_basis]
     T = IntegralLattice(t_gram)
-    t_cols = exact.transpose([list(r) for r in t_basis])
-    xi_t = []
-    for x in m.xi:
-        c = exact.solve_unique(t_cols, list(x))
-        if c is None or any(f.denominator != 1 for f in c):
+    # T is saturated, so its coordinates are read off an integer right inverse
+    t_inverse = exact.unimodular_inverse(t_basis)
+    xi_t = [exact.vec_mat(x, t_inverse) for x in m.xi]
+    for x, c in zip(m.xi, xi_t):
+        if exact.vec_mat(c, t_basis) != list(x):
             raise exact.VerificationError("ξ is not an integral vector of T")
-        xi_t.append([int(f) for f in c])
     q = quotient_by_isotropic(T, xi_t)
     lam = q.lattice
     if lam.rank != 24:
@@ -387,9 +376,9 @@ def compute_lambda(label):
     return LambdaLattice(
         stratum=label,
         lattice=lam,
-        t_basis=tuple(tuple(r) for r in t_basis),
-        xi_t=tuple(tuple(r) for r in xi_t),
-        lifts=q.lifts,
+        t_basis=tuple(map(tuple, t_basis)),
+        t_inverse=tuple(map(tuple, t_inverse)),
+        lifts=tuple(map(tuple, exact.mat_mul(q.lifts, t_basis))),
         projection=q.projection,
         root_data=dec,
         root_index=root_index,
@@ -507,31 +496,14 @@ class RestrictionData:
 
     For each curve i: the del Pezzo side sends εⱼ ↦ pⱼ (and h ↦ 0), so a
     class v restricts to (v·D′ᵢ, Σⱼ vⱼ pⱼ); the Ỹ side is a 2×rank(Ỹ)
-    rational matrix constrained so that ψ kills every ξⱼ and [L].
+    rational matrix constrained so that ψ kills every ξⱼ and [L].  ψᵢ is
+    the Zᵢ side minus the Ỹ side, stored as one 2×rank(ambient) matrix.
     """
 
     stratum: str
     z_points: tuple  # per curve: tuple of TorusPoint (one per εⱼ of Zᵢ)
-    y_matrices: tuple  # per curve: 2×rank(Ỹ) Fraction rows
+    psi_matrices: tuple  # per curve: 2×rank(ambient) Fraction rows of ψᵢ
     seed: int
-
-    def z_point(self, i, v):
-        """Point part of the restriction of a Zᵢ class (0-based i)."""
-        pts = self.z_points[i]
-        c = [Fraction(0), Fraction(0)]
-        for coeff, p in zip(v[1:], pts):
-            c[0] += coeff * p.coords[0]
-            c[1] += coeff * p.coords[1]
-        return TorusPoint(tuple(c))
-
-    def y_point(self, i, u):
-        m = self.y_matrices[i]
-        return TorusPoint(
-            (
-                sum(m[0][j] * u[j] for j in range(len(u))),
-                sum(m[1][j] * u[j] for j in range(len(u))),
-            )
-        )
 
 
 def generate_restriction_data(model, seed):
@@ -556,40 +528,31 @@ def generate_restriction_data(model, seed):
     if len(cols) < len(classes):
         raise ValueError("constraint classes are rank deficient")
     sub = [[row[t] for t in cols] for row in classes]  # (k+1)×(k+1), invertible
-    sub_inv = exact.rational_inverse(sub)
-    y_matrices = []
+    subt_inv = exact.transpose(exact.rational_inverse(sub))
+    psi_matrices = []
     for i in range(k):
         raw = [[rnd() for _ in range(n)] for _ in range(2)]
         # targets: r(Dⱼ)=0 (j≠i), r(Dᵢ)=Σpⱼ (the K_{Zᵢ} restriction), r(L)=0
-        sum_p = [Fraction(0), Fraction(0)]
-        for p in z_points[i]:
-            sum_p[0] += p.coords[0]
-            sum_p[1] += p.coords[1]
-        targets = []
-        for j in range(k + 1):
-            if j == i:
-                targets.append(sum_p)
-            else:
-                targets.append([Fraction(0), Fraction(0)])
+        sum_p = [sum(p.coords[r] for p in z_points[i]) for r in range(2)]
         # correct the designated columns: Δ_J·subᵀ = target − raw·classesᵀ
-        rhs = []
-        for r in range(2):
-            row = []
-            for j in range(k + 1):
-                got = sum(raw[r][t] * classes[j][t] for t in range(n))
-                row.append(targets[j][r] - got)
-            rhs.append(row)
-        # Δ_J = rhs · (subᵀ)⁻¹
-        subt_inv = exact.transpose(sub_inv)
-        delta = exact.mat_mul(rhs, subt_inv)
+        rhs = [
+            [(sum_p[r] if j == i else 0) - sum(x * y for x, y in zip(raw[r], c))
+             for j, c in enumerate(classes)]
+            for r in range(2)
+        ]
+        delta = exact.mat_mul(rhs, subt_inv)  # Δ_J = rhs · (subᵀ)⁻¹
+        rows = []
         for r in range(2):
             for idx, j in enumerate(cols):
                 raw[r][j] += delta[r][idx]
-        y_matrices.append(tuple(tuple(row) for row in raw))
+            # ψᵢ: minus the Ỹ side on Ỹ, εⱼ ↦ pⱼ on Zᵢ, zero elsewhere
+            z_row = model.embed_z(i, [0] + [p.coords[r] for p in z_points[i]])
+            rows.append(tuple(-x for x in raw[r]) + z_row[n:])
+        psi_matrices.append(tuple(rows))
     return RestrictionData(
         stratum=model.stratum,
         z_points=tuple(z_points),
-        y_matrices=tuple(y_matrices),
+        psi_matrices=tuple(psi_matrices),
         seed=seed,
     )
 
@@ -603,20 +566,9 @@ class ExtensionMap:
     restriction: RestrictionData
     jw1: JW1Data
 
-    def _split_ambient(self, v):
-        yt_rank = self.model.y_tilde.lattice.rank
-        u = v[:yt_rank]
-        parts = []
-        off = yt_rank
-        for z in self.model.dp_components:
-            parts.append(v[off:off + z.lattice.rank])
-            off += z.lattice.rank
-        return u, parts
-
     def psi_component_ambient(self, v, i):
         """ψᵢ of an ambient vector in {ξ,[L]}⊥ (0-based curve index)."""
-        u, parts = self._split_ambient(v)
-        return self.restriction.z_point(i, parts[i]) - self.restriction.y_point(i, u)
+        return TorusPoint(tuple(exact.mat_vec(self.restriction.psi_matrices[i], v)))
 
     def psi_component(self, lam_vec, i):
         return self.psi_component_ambient(self.lam.lift_to_ambient(lam_vec), i)
@@ -631,11 +583,9 @@ class ExtensionMap:
     def degree(self, lam_vec, i):
         """Restriction degree of λ to curve i (equal on both sides)."""
         v = self.lam.lift_to_ambient(lam_vec)
-        u, parts = self._split_ambient(v)
-        yt = self.model.y_tilde
-        z = self.model.dp_components[i]
-        dy = yt.lattice.pairing(u, yt.double_curves[i + 1])
-        dz = z.lattice.pairing(parts[i], z.double_curves[i + 1])
+        m = self.model
+        dy = m.ambient.pairing(v, m.embed_y(m.y_tilde.double_curves[i + 1]))
+        dz = m.ambient.pairing(v, m.embed_z(i, m.dp_components[i].double_curves[i + 1]))
         if dy != dz:
             raise exact.VerificationError("restriction degrees inconsistent")
         return dy

@@ -87,12 +87,7 @@ class TorusMorphism:
         object.__setattr__(self, "matrix", tuple(tuple(int(x) for x in row) for row in m))
 
     def apply(self, p):
-        return TorusPoint(
-            tuple(
-                sum(row[j] * p.coords[j] for j in range(self.source.rank))
-                for row in self.matrix
-            )
-        )
+        return TorusPoint(tuple(exact.mat_vec(self.matrix, p.coords)))
 
     def __call__(self, p):
         return self.apply(p)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -113,6 +114,12 @@ class TestCli:
         assert report["pair_index_pattern"] == [1, 2, 2]
         assert report["primitive"] is True
         assert report["weight_rank"] == 4
+
+    def test_unknown_monodromy_label_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["monodromy", "foo"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'foo'" in capsys.readouterr().err
 
     def test_reconstruct(self, capsys):
         code, report, _ = self.run(capsys, "reconstruct", "--seed", "1")
@@ -269,6 +276,7 @@ class TestCli:
         (["normal-form", "--seed", "9"], {"branch": "g2"}),
         # a str is the expected precondition failure (exit 3)
         (["roots", "--input", "indefinite.json"], "lattice is not negative definite"),
+        (["reconstruct", "--seed", "4"], {"distinguished_pair": [0, 1], "section_curve": 2}),
     ],
 )
 def test_cli_under_python_O(argv, expected, tmp_path):
@@ -288,3 +296,48 @@ def test_cli_under_python_O(argv, expected, tmp_path):
     report = json.loads(proc.stdout)
     for key, value in expected.items():
         assert report[key] == value
+
+
+# sha256 of stdout and the exit code of each report; a change to the exact
+# core or to Λ/ψ must leave every one of them byte-identical
+PINNED_REPORTS = [
+    ("verify-stratum rat11", 0, "1717fe7df790419d33cd47552bb48c15ab5e8353ca7287c5304a04e092844ac4"),
+    ("roots --label rat11", 0, "eaac9fbc1bcdf6821f527244f25280b6fa3fcb351cb0fc0bdf87d2b575ec4120"),
+    ("gen-fixture rat11 --seed 7", 0, "ceeb6164da8dc50e0cbb396762194bfc2c7e4f5e03f9f41a839b711a47152bda"),
+    ("classify --label rat11 --seed 3", 0, "542de53b089746ff822b46ba6c9124d2a01723ef9211b82a161f29711c7dc527"),
+    ("verify-stratum rat21", 0, "5a629dbad431bc84b4ffdcdb4d344c77f97394f8394da279dd31c99ebffd5e1a"),
+    ("roots --label rat21", 0, "eaac9fbc1bcdf6821f527244f25280b6fa3fcb351cb0fc0bdf87d2b575ec4120"),
+    ("gen-fixture rat21 --seed 7", 0, "63b7b5c46658ffe81cf4a2db85776a8f5f60ee0da52934084c77aea6f6f2126e"),
+    ("classify --label rat21 --seed 3", 0, "40db23145a23d1d9452425303a089afffcb0b57b657eb0dab5959c0865e808a7"),
+    ("verify-stratum rat22", 0, "9a3841cba9d9852c9a99899893d0fcb1f4264d5b3569bdc84159ed16f17b3e66"),
+    ("roots --label rat22", 0, "c94acc097a5dc89b9f17bae723663ee9efad79d782c14d6c94ba5154377df342"),
+    ("gen-fixture rat22 --seed 7", 0, "9cd6b118e12a67db13cff8c5438ab3dbd568c3d3119a73d17a85d1079d1fbdc7"),
+    ("classify --label rat22 --seed 3", 0, "c0ac3281fe94b2a6f81cd286f3844f5dbc74661273a43e5f407ad63107302d91"),
+    ("verify-stratum enriques", 0, "5e15f54eda08cd7263e4fcff697fb5a46c01a3b72327ccbb89bbb02e57470077"),
+    ("roots --label enriques", 0, "eaac9fbc1bcdf6821f527244f25280b6fa3fcb351cb0fc0bdf87d2b575ec4120"),
+    ("gen-fixture enriques --seed 7", 0, "56b391a124d7b7d9469ac044cb694f796f8bdfb3d5cbbdbeed1d4f92851f4b5d"),
+    ("classify --label enriques --seed 3", 0, "64b2a3f9790adb61f1d0da36b0bbe164c1cdf7e0109cd65b616a5ba703909ea7"),
+    ("verify-stratum ell211", 0, "5aebf58210cbe6dde08497a823ba2d7de90da8be5b1d41b7f9ac92c0451c4314"),
+    ("roots --label ell211", 0, "eaac9fbc1bcdf6821f527244f25280b6fa3fcb351cb0fc0bdf87d2b575ec4120"),
+    ("gen-fixture ell211 --seed 7", 0, "61e0ec658714ce2b73b658f9d5f89711a340c13fed3bb6c2591ef60f288ed256"),
+    ("classify --label ell211 --seed 3", 0, "ade78219b95b1d8c5b9289f1a6c15e67ceac9bedaf8decf73cee1e3553fac73c"),
+    ("verify-stratum ell111", 0, "0d2739d6f898f994c49482cdd835f635f0cd6a0b1cc494996933f3ad8c54ae9e"),
+    ("roots --label ell111", 0, "eaac9fbc1bcdf6821f527244f25280b6fa3fcb351cb0fc0bdf87d2b575ec4120"),
+    ("gen-fixture ell111 --seed 7", 0, "15a40ab51225d079e16d3a6acb3dddd5303df87a1a460d8f5aaf5b9474586468"),
+    ("classify --label ell111 --seed 3", 0, "1a2f7f51f076bbda61047a71c93b33ae0356b19b36c5061da2b00b42aeb458ed"),
+    ("reconstruct --seed 4", 0, "b493166b28dd8c57f133962d78516432c2732ac3e1888a4c21a61a81b5cb0580"),
+    ("monodromy rational", 0, "384c7dc91ab9cd9e4b02f11c28dfec1a3404c9b2a32d57df80e546bd4d79b4a2"),
+    ("monodromy enriques", 0, "b2c03cb49bb991485e5736bb2253f0b17b7f77d2b169d0fdf71b162aec1ecf9c"),
+    ("monodromy ell111", 0, "b0b67c3a29ea8b194bd324b2c5f010c953c158e1b712d33d933f8d407c9a2be6"),
+    ("monodromy ell211", 0, "09c34f96aabe52546cda6f798794af99bafd0cdae9da732b415094481768c802"),
+    ("normal-form --seed 9", 0, "d90231796c196c54f0b3856c5bf05f12f5c1a45a35da68db37911485b8b03c3d"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", PINNED_REPORTS, ids=[a for a, _, _ in PINNED_REPORTS]
+)
+def test_pinned_report(capsys, argv, code, digest):
+    assert main(argv.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -299,6 +299,26 @@ def test_height_ordered_simple_roots_match_pairwise_rule(labels, ops, rng):
     assert sorted(dec.label.split("+")) == sorted(labels)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=n), elementary_ops)
+))
+def test_unimodular_inverse_is_integral_right_inverse(args):
+    n, m, ops = args
+    # a random unimodular n×n matrix: row i += c·row j, then keep m rows
+    full = exact.identity_matrix(n)
+    for i, k, c in ops:
+        i, j = i % n, (i + k) % n
+        if i != j:
+            full[i] = [x + c * y for x, y in zip(full[i], full[j])]
+    u = full[:m]
+    r = exact.unimodular_inverse(u)
+    assert all(type(x) is int for row in r for x in row)
+    assert exact.mat_mul(u, r) == exact.identity_matrix(m)
+    if m == n:
+        assert exact.mat_mul(r, u) == exact.identity_matrix(n)
+
+
 def _symmetric(upper, n):
     g = [[0] * n for _ in range(n)]
     it = iter(upper)

@@ -92,12 +92,19 @@ class TestLambda:
             assert lam.root_index == index
 
     def test_lift_round_trip(self):
-        lam = compute_lambda("rat22")
-        rng = random.Random(21)
-        for _ in range(10):
-            v = [rng.randint(-3, 3) for _ in range(24)]
-            amb = lam.lift_to_ambient(v)
-            assert lam.ambient_to_lambda(amb) == tuple(v)
+        for label in STRATUM_LABELS:
+            lam = compute_lambda(label)
+            rng = random.Random(21)
+            for _ in range(10):
+                v = [rng.randint(-3, 3) for _ in range(24)]
+                amb = lam.lift_to_ambient(v)
+                assert lam.ambient_to_lambda(amb) == tuple(v)
+
+    def test_ambient_to_lambda_rejects_vector_outside_complement(self):
+        # [L]² = 1, so [L] is not in {ξ, [L]}⊥
+        m = build_stratum_model("rat21")
+        with pytest.raises(ValueError, match="does not lie in the complement lattice"):
+            compute_lambda("rat21").ambient_to_lambda(m.l_total)
 
     def test_lift_lands_in_complement(self):
         m = build_stratum_model("ell211")
