@@ -271,6 +271,29 @@ def det_bareiss(a):
     return sign * A[n - 1][n - 1]
 
 
+def symmetric_bareiss(g):
+    """Integral Gram–Schmidt data of a symmetric integer g (Cohen, GTM 138,
+    §2.6.3) by fraction-free elimination without pivoting: a[i][i] = d[i+1],
+    the (i+1)-th leading minor (d[0] = 1), and a[i][j] = λ[j][i] = d[i+1]·μ_ji
+    for j > i; entries below the diagonal are unspecified.  Raises ValueError
+    at the first leading minor ≤ 0, so it returns iff g is positive definite.
+    """
+    a = copy_matrix(g)
+    n = len(a)
+    prev = 1
+    for k, row_k in enumerate(a):
+        p = row_k[k]
+        if p <= 0:
+            raise ValueError("Gram matrix is not positive definite")
+        # a stays symmetric: read a[i][k] as a[k][i], update only j ≥ i
+        for i in range(k + 1, n):
+            c, row = row_k[i], a[i]
+            for j in range(i, n):
+                row[j] = (row[j] * p - c * row_k[j]) // prev
+        prev = p
+    return a
+
+
 def _gauss_jordan(rows, ncols):
     """Reduced row echelon form over ℚ, pivoting only in the first ncols columns.
 
@@ -457,70 +480,57 @@ def lll_reduce_gram(g0, delta=Fraction(3, 4)):
 
 
 # ---------------------------------------------------------------------------
-# short vector enumeration (Fincke–Pohst with exact rational Cholesky)
+# short vector enumeration (Fincke–Pohst on integral Gram–Schmidt data)
 
 
-def _floor_sqrt_frac(s):
-    """floor(sqrt(s)) for a non-negative Fraction s."""
-    return isqrt(s.numerator * s.denominator) // s.denominator
-
-
-def _floor_sqrt_plus(s, c):
-    """floor(sqrt(s) + c) for Fraction s ≥ 0 and Fraction c."""
-    a, b = c.numerator, c.denominator
-    return (_floor_sqrt_frac(s * b * b) + a) // b
+def _level_range(r, w, den, c):
+    """(lo, hi) with lo ≤ x ≤ hi iff w·(den·x + c)² ≤ r, for r ≥ 0, w, den > 0."""
+    s = isqrt(r // w)
+    return -((s + c) // den), (s - c) // den
 
 
 def short_vectors(gram, bound):
-    """All x ≠ 0 with 0 < xᵀ·gram·x ≤ bound, one per ±pair.
+    """All x ≠ 0 with 0 < xᵀ·gram·x ≤ bound (an int or a Fraction), one per ±pair.
 
-    `gram` must be positive definite.  Returned coordinates are w.r.t. the
-    basis of `gram`; the representative of each pair has its first nonzero
-    coordinate (scanning from the last index down, the recursion order)
-    positive.  Pure enumeration, exact arithmetic.
+    `gram` must be positive definite (ValueError otherwise).  Coordinates are
+    w.r.t. the basis of `gram`; each representative has its last nonzero
+    coordinate positive (the recursion runs from the last index down).
+
+    Fincke–Pohst in ints: with d, λ from `symmetric_bareiss`, level i adds
+    (d[i+1]·x_i + C_i)² / (d[i]·d[i+1]), C_i = Σ_{j>i} λ[j][i]·x_j.  Times
+    S = lcm_i d[i]·d[i+1], that is w_i·(d[i+1]·x_i + C_i)² with the integer
+    w_i = S / (d[i]·d[i+1]), and the budget is ⌊bound·S⌋.
     """
     n = len(gram)
-    q = [[Fraction(x) for x in row] for row in gram]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise ValueError("Gram matrix is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
-    # the centre Σ_{j>i} q[i][j]·x[j] of level i is C / den for the integer
-    # C = Σ a·x[j] over the nonzero columns (j, a = den·q[i][j]) of row i
-    levels = []
-    for i in range(n):
-        den = lcm(*(q[i][j].denominator for j in range(i + 1, n)))
-        cols = [(j, int(q[i][j] * den)) for j in range(i + 1, n) if q[i][j]]
-        levels.append((q[i][i], den, cols))
-    bound = Fraction(bound)
+    a = symmetric_bareiss(gram)
+    d = [1] + [a[i][i] for i in range(n)]
+    scale = lcm(*(d[i] * d[i + 1] for i in range(n)))
+    levels = [
+        (scale // (d[i] * d[i + 1]), d[i + 1],
+         [(j, a[i][j]) for j in range(i + 1, n) if a[i][j]])
+        for i in range(n)
+    ]
+    budget = bound.numerator * scale // bound.denominator
     results = []
     x = [0] * n
 
     def rec(i, remaining, nonzero_above):
         if i < 0:
-            used = bound - remaining
-            if used > 0:
+            if remaining < budget:
                 results.append(tuple(x))
             return
-        qii, den, cols = levels[i]
-        c = Fraction(sum(a * x[j] for j, a in cols), den)
-        s = remaining / qii
-        hi = _floor_sqrt_plus(s, -c)
-        lo = -_floor_sqrt_plus(s, c)
+        w, den, cols = levels[i]
+        c = sum(lam * x[j] for j, lam in cols)
+        lo, hi = _level_range(remaining, w, den, c)
         if not nonzero_above:
             lo = max(lo, 0)
         for xi in range(lo, hi + 1):
             x[i] = xi
-            val = qii * (xi + c) ** 2
-            rec(i - 1, remaining - val, nonzero_above or xi != 0)
+            rec(i - 1, remaining - w * (den * xi + c) ** 2, nonzero_above or xi != 0)
         x[i] = 0
 
-    rec(n - 1, bound, False)
+    if budget >= 0:
+        rec(n - 1, budget, False)
     return results
 
 

@@ -161,22 +161,11 @@ def inertia(gram):
 
 
 def is_negative_definite(L):
-    """Sylvester's criterion on −G: every leading minor is positive.
-
-    Fraction-free Bareiss elimination without pivoting, all ints: the pivot
-    of step k is the (k+1)-th leading minor, and each division is exact.
-    """
-    a = [[-x for x in row] for row in L.gram]
-    prev = 1
-    for k, row_k in enumerate(a):
-        p = row_k[k]
-        if p <= 0:
-            return False
-        for row in a[k + 1:]:
-            c = row[k]
-            for j in range(k + 1, len(a)):
-                row[j] = (row[j] * p - c * row_k[j]) // prev
-        prev = p
+    """Sylvester's criterion on −G by `exact.symmetric_bareiss`, independent of LLL."""
+    try:
+        exact.symmetric_bareiss([[-x for x in row] for row in L.gram])
+    except ValueError:
+        return False
     return True
 
 

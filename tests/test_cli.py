@@ -277,12 +277,15 @@ class TestCli:
         # a str is the expected precondition failure (exit 3)
         (["roots", "--input", "indefinite.json"], "lattice is not negative definite"),
         (["reconstruct", "--seed", "4"], {"distinguished_pair": [0, 1], "section_curve": 2}),
+        (["roots", "--input", "semidefinite.json"], "lattice is not negative definite"),
     ],
 )
 def test_cli_under_python_O(argv, expected, tmp_path):
     """`python -O` strips asserts; the checked paths must still succeed with the
-    same report, and the definiteness check must still reject an indefinite lattice."""
+    same report, and the definiteness check must still reject an indefinite or
+    a semidefinite lattice."""
     (tmp_path / "indefinite.json").write_text('{"rank": 2, "gram": [[-2, 3], [3, -2]]}')
+    (tmp_path / "semidefinite.json").write_text('{"rank": 2, "gram": [[-2, 2], [2, -2]]}')
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "istrata.cli", *argv],

@@ -174,6 +174,14 @@ class TestLLLAndShortVectors:
         with pytest.raises(ValueError):
             exact.short_vectors([[0, 1], [1, 0]], 2)
 
+    def test_positive_diagonal_with_negative_minor_rejected(self):
+        # both diagonal entries are positive, the second leading minor is −3
+        with pytest.raises(ValueError):
+            exact.short_vectors([[1, 2], [2, 1]], 2)
+
+    def test_rank_zero_has_no_short_vectors(self):
+        assert exact.short_vectors([], 2) == []
+
     def test_e8_roots_survive_a_large_unimodular_skew(self):
         L, _, _, _, alphas = build_En_lattice(8)
         e8 = [[-L.pairing(a, b) for b in alphas] for a in alphas]
@@ -188,22 +196,3 @@ class TestLLLAndShortVectors:
         g, v = exact.lll_reduce_gram(skew)
         assert g == exact.mat_mul(exact.mat_mul(v, skew), exact.transpose(v))
         assert len(exact.vectors_of_norm(g, 2)) == 120
-
-
-class TestFloorSqrtHelpers:
-    def test_floor_sqrt_frac(self):
-        assert exact._floor_sqrt_frac(Fraction(8)) == 2
-        assert exact._floor_sqrt_frac(Fraction(9)) == 3
-        assert exact._floor_sqrt_frac(Fraction(1, 2)) == 0
-
-    def test_floor_sqrt_plus_random(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            s = Fraction(rng.randint(0, 400), rng.randint(1, 20))
-            c = Fraction(rng.randint(-50, 50), rng.randint(1, 20))
-            got = exact._floor_sqrt_plus(s, c)
-            # floor(sqrt(s) + c) characterized by squaring, no floats:
-            # got ≤ sqrt(s) + c < got + 1
-            lo, hi = got - c, got + 1 - c
-            assert lo <= 0 or lo * lo <= s
-            assert hi > 0 and hi * hi > s

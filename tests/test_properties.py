@@ -1,14 +1,20 @@
 """Property-based checks of the core exact-arithmetic invariants."""
 
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import product
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from istrata import exact
+from istrata.cli import main
 from istrata.lattices import IntegralLattice, direct_sum, inertia, is_negative_definite
 from istrata.normalform import apply_change, compose_changes, random_deformation
 from istrata.normalform import ChangeOfVariables, _substitute, monomial_weight
@@ -230,20 +236,103 @@ def test_lll_rejects_indefinite_gram(gram):
         exact.lll_reduce_gram(gram)
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    positive_definite_gram(4, st.integers(min_value=-2, max_value=2)),
-    st.integers(min_value=1, max_value=6),
+ade_labels = st.sampled_from(
+    ["A1", "A2", "A3", "A5", "D4", "D5", "D6", "E6", "E7", "E8"]
 )
-def test_short_vectors_match_box_enumeration(gram, bound):
-    # gram ⪰ I, so every x with xᵀ·gram·x ≤ bound has |xᵢ|² ≤ bound
-    r = isqrt(bound)
+elementary_ops = st.lists(
+    st.tuples(st.integers(0, 99), st.integers(1, 99), st.integers(-2, 2)),
+    max_size=16,
+)
+
+
+def _elementary_unimodular(n, ops):
+    """A unimodular n×n matrix built by row i += c·row j for each op."""
+    u = exact.identity_matrix(n)
+    for i, k, c in ops:
+        i, j = i % n, (i + k) % n
+        if i != j:
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+def _box_short_vectors(gram, bound):
+    """Brute force for gram ⪰ I: every x with xᵀ·gram·x ≤ bound has |xᵢ|² ≤ bound.
+
+    One vector per ± pair, the one whose last nonzero coordinate is positive.
+    """
+    r = isqrt(int(bound))
     expected = []
     for x in product(range(-r, r + 1), repeat=len(gram)):
         last = next((c for c in reversed(x) if c), 0)
         if last > 0 and exact.dot_gram(x, gram, x) <= bound:
             expected.append(x)
-    assert sorted(exact.short_vectors(gram, bound)) == sorted(expected)
+    return expected
+
+
+short_vector_bounds = st.one_of(
+    st.integers(min_value=1, max_value=6),
+    st.fractions(min_value=1, max_value=6, max_denominator=6),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    positive_definite_gram(4, st.integers(min_value=-2, max_value=2)),
+    short_vector_bounds,
+)
+@example(gram=[[2, 1], [1, 2]], bound=Fraction(7, 2))
+def test_short_vectors_match_box_enumeration(gram, bound):
+    assert sorted(exact.short_vectors(gram, bound)) == sorted(_box_short_vectors(gram, bound))
+
+
+def _pair_representative(v):
+    return max(tuple(v), tuple(-x for x in v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    positive_definite_gram(4, st.integers(min_value=-2, max_value=2)),
+    short_vector_bounds,
+    elementary_ops,
+)
+def test_short_vectors_on_skewed_gram_match_box_enumeration(gram, bound, ops):
+    # u·gram·uᵀ for a random unimodular u has large leading minors; its short
+    # vectors x map to the short vectors x·u of gram
+    u = _elementary_unimodular(len(gram), ops)
+    skew = exact.mat_mul(exact.mat_mul(u, gram), exact.transpose(u))
+    got = [_pair_representative(exact.vec_mat(list(x), u))
+           for x in exact.short_vectors(skew, bound)]
+    expected = [_pair_representative(x) for x in _box_short_vectors(gram, bound)]
+    assert sorted(got) == sorted(expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(positive_definite_gram(5, st.integers(min_value=-4, max_value=4)))
+def test_symmetric_bareiss_is_integral_gram_schmidt(g):
+    # a[i][i] = d[i+1] = B[0]···B[i] and a[i][j] = d[i+1]·μ_ji (j > i)
+    a = exact.symmetric_bareiss(g)
+    B, mu = _gram_schmidt(g)
+    d = 1
+    for i in range(len(g)):
+        d *= B[i]
+        assert type(a[i][i]) is int and a[i][i] == d
+        for j in range(i + 1, len(g)):
+            assert type(a[i][j]) is int and a[i][j] == d * mu[j][i]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2000),
+    st.integers(min_value=1, max_value=50),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=-200, max_value=200),
+)
+def test_level_range_is_exact(r, w, den, c):
+    # |den·x + c| ≥ |x| − |c|, so every solution has |x| ≤ |c| + r
+    lo, hi = exact._level_range(r, w, den, c)
+    span = abs(c) + r
+    expected = [x for x in range(-span, span + 1) if w * (den * x + c) ** 2 <= r]
+    assert list(range(lo, hi + 1)) == expected
 
 
 def _neg_cartan(label):
@@ -260,26 +349,12 @@ def _neg_cartan(label):
     return g
 
 
-ade_labels = st.sampled_from(
-    ["A1", "A2", "A3", "A5", "D4", "D5", "D6", "E6", "E7", "E8"]
-)
-elementary_ops = st.lists(
-    st.tuples(st.integers(0, 99), st.integers(1, 99), st.integers(-2, 2)),
-    max_size=16,
-)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.lists(ade_labels, min_size=1, max_size=3), elementary_ops, st.randoms())
 def test_height_ordered_simple_roots_match_pairwise_rule(labels, ops, rng):
     lat = direct_sum(*(IntegralLattice(_neg_cartan(x)) for x in labels))
-    n = lat.rank
-    # a random unimodular basis change: row i += c·row j
-    u = exact.identity_matrix(n)
-    for i, k, c in ops:
-        i, j = i % n, (i + k) % n
-        if i != j:
-            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    # a random unimodular basis change
+    u = _elementary_unimodular(lat.rank, ops)
     g = exact.mat_mul(exact.mat_mul(u, lat.gram_lists()), exact.transpose(u))
     L = IntegralLattice(g)
     # one root per ± pair in a random order and with random signs
@@ -305,13 +380,8 @@ def test_height_ordered_simple_roots_match_pairwise_rule(labels, ops, rng):
 ))
 def test_unimodular_inverse_is_integral_right_inverse(args):
     n, m, ops = args
-    # a random unimodular n×n matrix: row i += c·row j, then keep m rows
-    full = exact.identity_matrix(n)
-    for i, k, c in ops:
-        i, j = i % n, (i + k) % n
-        if i != j:
-            full[i] = [x + c * y for x, y in zip(full[i], full[j])]
-    u = full[:m]
+    # the first m rows of a random unimodular n×n matrix
+    u = _elementary_unimodular(n, ops)[:m]
     r = exact.unimodular_inverse(u)
     assert all(type(x) is int for row in r for x in row)
     assert exact.mat_mul(u, r) == exact.identity_matrix(m)
@@ -353,3 +423,36 @@ small_symmetric = st.one_of(
 def test_sylvester_check_matches_inertia(g):
     n = len(g)
     assert is_negative_definite(IntegralLattice(g)) == (inertia(g) == (0, n, 0))
+
+
+def _brute_force_root_count(g):
+    """#{x : xᵀ·g·x = −2} for negative definite g, by a box search.
+
+    Cauchy–Schwarz bounds each coordinate: xᵢ² ≤ 2·((−g)⁻¹)ᵢᵢ.
+    """
+    inv = exact.rational_inverse([[-x for x in row] for row in g])
+    radii = [isqrt(int(2 * inv[i][i])) for i in range(len(g))]
+    return sum(
+        exact.dot_gram(x, g, x) == -2
+        for x in product(*(range(-r, r + 1) for r in radii))
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_symmetric)
+def test_roots_cli_on_hostile_grams(g):
+    n = len(g)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "lattice.json")
+        with open(path, "w") as f:
+            json.dump({"rank": n, "gram": g}, f)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["roots", "--input", path])
+    if inertia(g) != (0, n, 0):
+        assert (code, out.getvalue()) == (3, "")
+        assert err.getvalue() == "precondition not met: lattice is not negative definite\n"
+        return
+    assert code == 0, err.getvalue()
+    if n <= 3:
+        assert json.loads(out.getvalue())["root_count"] == _brute_force_root_count(g)

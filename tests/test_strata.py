@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import pytest
 
 from istrata import exact
 from istrata.lattices import lattice_predicates
-from istrata.roots import _ade_label
+from istrata.roots import _ade_label, enumerate_roots
 from istrata.strata import (
     STRATUM_LABELS,
     LozengeType,
@@ -114,6 +116,25 @@ class TestLambda:
         for x in m.xi:
             assert m.ambient.pairing(amb, x) == 0
         assert m.ambient.pairing(amb, m.l_total) == 0
+
+
+# sha256 of json.dumps(enumerate_roots(Λ)), the sorted roots one per ± pair,
+# recorded before the enumeration went all-integer; the CLI reports pin only
+# the labels and counts
+PINNED_ROOTS = {
+    "rat11": "f6feeb00a2adb405764212ad29574945f3fba2395f2032a50243110f49d3b696",
+    "rat21": "e9ff9566156fd6c43ac54088451b25581fd1e1230b7629be2b18c02fa7477813",
+    "rat22": "2e63e7469d2e8f84052896fa07497cebafb25079ebcff5482dca1bb9b66cedad",
+    "enriques": "e67a3e3f4007d20f16c2a859175684c1a69d866eda67d5e1db0fc9d198a28bd4",
+    "ell211": "de8007153fbddafb25553c4d8dcf10cf91fc795f5bd3394fa7a4b5a88357e4d1",
+    "ell111": "d921fd58fcfca3c23b9ff5352f07465cd20a43c7952265bc4fe5fa2f3cdf767d",
+}
+
+
+@pytest.mark.parametrize("label", STRATUM_LABELS)
+def test_pinned_lambda_roots(label):
+    roots = enumerate_roots(compute_lambda(label).lattice)
+    assert hashlib.sha256(json.dumps(roots).encode()).hexdigest() == PINNED_ROOTS[label]
 
 
 class TestLozenge:
