@@ -294,52 +294,33 @@ def symmetric_bareiss(g):
     return a
 
 
-def _gauss_jordan(rows, ncols):
-    """Reduced row echelon form over ℚ, pivoting only in the first ncols columns.
-
-    Returns (reduced rows as lists of Fractions, pivot columns).  Row i has
-    its leading 1 in column pivots[i]; every pivot column is zero elsewhere,
-    and rows past the last pivot vanish on the first ncols columns.  Later
-    columns ride along, so an augmented [a | b] solves and inverts.
-    """
-    A = [[Fraction(x) for x in row] for row in rows]
-    m = len(A)
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if A[i][col] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = 1 / A[r][col]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(col)
-    return A, pivots
-
-
 def pivot_columns(a):
     """Indices of the columns of a that are not in the ℚ-span of earlier columns.
 
-    They index a basis of the column space; their number is the rank over ℚ.
+    They are the leading columns of the row Hermite form of a, index a basis
+    of the column space, and their number is the rank over ℚ.
     """
-    return _gauss_jordan(a, len(a[0]))[1] if a else []
+    return [next(j for j, x in enumerate(row) if x) for row in hnf_rows(a)]
 
 
 def rational_inverse(a):
-    """Inverse of a square matrix, entries Fraction.  Raises on singular input."""
+    """Inverse of a square integer matrix, entries Fraction.
+
+    From the Smith form P·a·V = D, a⁻¹ = V·D⁻¹·P (Cohen, GTM 138, §2.4.4);
+    with d = lcm(dᵢ), the last invariant factor, V·(d·D⁻¹)·P is integral and
+    only the final division by d builds Fractions.  Raises ValueError on non-square
+    or singular input.
+    """
     n = len(a)
-    rows, pivots = _gauss_jordan(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)], n
-    )
-    if len(pivots) < n:
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    p, d, v = smith_normal_form(a)
+    diag = [d[i][i] for i in range(n)]
+    if 0 in diag:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
+    den = lcm(*diag)
+    scaled = [[x * (den // di) for x, di in zip(row, diag)] for row in v]
+    return [[Fraction(x, den) for x in row] for row in mat_mul(scaled, p)]
 
 
 def unimodular_inverse(u):
@@ -360,18 +341,24 @@ def unimodular_inverse(u):
 
 
 def solve_unique(a, b):
-    """Solve a·x = b (column convention) when a has full column rank.
+    """Solve a·x = b (column convention) for an integer a of full column rank.
 
-    Returns a list of Fractions, or None when the system is inconsistent.
-    Raises ValueError when the solution is not unique.
+    With P·a·V = D (Smith form) and r the rank, a·x = b is solvable iff
+    (P·b)ᵢ = 0 for i ≥ r, and then x = V·y with yᵢ = (P·b)ᵢ / dᵢ.  b may hold
+    Fractions.  Returns a list of Fractions, or None when the system is
+    inconsistent.  Raises ValueError when the solution is not unique.
     """
     n = len(a[0]) if a else 0
-    rows, pivots = _gauss_jordan([list(row) + [b[i]] for i, row in enumerate(a)], n)
-    if len(pivots) < n:
+    p, d, v = smith_normal_form(a)
+    diag = [d[i][i] for i in range(min(len(a), n)) if d[i][i]]
+    if len(diag) < n:
         raise ValueError("solution not unique (rank-deficient system)")
-    if any(row[n] != 0 for row in rows[n:]):
+    pb = mat_vec(p, b)
+    if any(pb[n:]):
         return None
-    return [row[n] for row in rows[:n]]
+    den = lcm(*diag)
+    y = [x * (den // di) for x, di in zip(pb, diag)]
+    return [Fraction(x, den) for x in mat_vec(v, y)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from math import prod
 
 from . import exact
 from .exact import (
-    det_bareiss,
     hnf_rows,
     integer_kernel,
     invariant_factors,
@@ -190,10 +189,6 @@ class QuotientResult:
     projection: tuple  # (rank-r) × n matrix; quotient coords = projection · v
     lifts: tuple  # rows: HNF-reduced coset representatives of the quotient basis
 
-    def project(self, v):
-        """Quotient coordinates of an ambient vector."""
-        return tuple(exact.mat_vec(self.projection, v))
-
 
 def quotient_by_isotropic(L, s_rows):
     """Quotient of L by the primitive isotropic sublattice spanned by s_rows.
@@ -236,17 +231,17 @@ def lattice_predicates(L):
     """(is_even, is_unimodular, discriminant, discriminant_group).
 
     Evenness is checked on the diagonal of the stored Gram; by
-    x·x ≡ Σᵢ xᵢ²·Gᵢᵢ (mod 2) this is basis independent.  Discriminant is
-    |det gram|; the discriminant group comes from the SNF of the Gram.
+    x·x ≡ Σᵢ xᵢ²·Gᵢᵢ (mod 2) this is basis independent.  One SNF of the
+    Gram gives both the discriminant group and |det gram|, the product of
+    its invariant factors.
     """
     g = L.gram_lists()
     is_even = all(g[i][i] % 2 == 0 for i in range(L.rank))
-    d = det_bareiss(g)
-    disc = abs(d)
-    if d == 0:
+    facs = invariant_factors(g)
+    if len(facs) < L.rank:
         raise ValueError("degenerate lattice has no discriminant group")
-    group = FiniteAbelianGroup(tuple(invariant_factors(g)))
-    return is_even, disc == 1, disc, group
+    disc = prod(facs)
+    return is_even, disc == 1, disc, FiniteAbelianGroup(tuple(facs))
 
 
 def index_of_sublattice(L, s_rows):

@@ -117,15 +117,9 @@ def _duals(ambient, alphas, betas):
     cycle matrix in e-coordinates.
     """
     four = [alphas[0], betas[0], alphas[1], betas[1]]
-    c = [[Fraction(v[i]) for i in range(4)] for v in four]
-    cinv = exact.rational_inverse(c)
-    duals = []
-    for m in range(4):
-        v = [Fraction(0)] * 8
-        for j in range(4):
-            v[4 + j] = cinv[j][m]
-        duals.append(tuple(v))
-    return tuple(duals)
+    cinv = exact.rational_inverse([list(v[:4]) for v in four])
+    zero = (Fraction(0),) * 4
+    return tuple(zero + col for col in zip(*cinv))
 
 
 def _check_frame(frame):

@@ -442,11 +442,11 @@ def compute_JW1(model, eta=None):
     """
     label = model.stratum
     jd = RationalTorus(2)
+    total = RationalTorus(4)  # JD₁ ⊕ JD₂
+    i1 = TorusMorphism(jd, total, ((1, 0), (0, 1), (0, 0), (0, 0)))
+    i2 = TorusMorphism(jd, total, ((0, 0), (0, 0), (1, 0), (0, 1)))
     if label in ("rat11", "rat21", "rat22"):
-        jw1 = RationalTorus(4)
-        m1 = TorusMorphism(jd, jw1, ((1, 0), (0, 1), (0, 0), (0, 0)))
-        m2 = TorusMorphism(jd, jw1, ((0, 0), (0, 0), (1, 0), (0, 1)))
-        return JW1Data(label, jw1, (m1, m2), 1)
+        return JW1Data(label, total, (i1, i2), 1)
     if label == "enriques":
         coords = DEFAULT_ENRIQUES_ETA if eta is None else tuple(Fraction(c) for c in eta)
         p = TorusPoint(coords)
@@ -454,10 +454,7 @@ def compute_JW1(model, eta=None):
             raise ValueError("η must be 2-torsion")
         if all(c == 0 for c in p.coords[:2]) or all(c == 0 for c in p.coords[2:]):
             raise ValueError("η must have nonzero image in both JD factors")
-        total = RationalTorus(4)
         jw1, proj = quotient_torus(total, [p])
-        i1 = TorusMorphism(jd, total, ((1, 0), (0, 1), (0, 0), (0, 0)))
-        i2 = TorusMorphism(jd, total, ((0, 0), (0, 0), (1, 0), (0, 1)))
         m1 = proj.compose(i1)
         m2 = proj.compose(i2)
         for m in (m1, m2):
@@ -469,11 +466,8 @@ def compute_JW1(model, eta=None):
         d = build_jw1_cover_diagram()
         return JW1Data(label, d.jw1, (d.marking1, d.marking2, d.marking_sigma), 2)
     if label == "ell211":
-        jw1 = RationalTorus(4)
-        m1 = TorusMorphism(jd, jw1, ((1, 0), (0, 1), (0, 0), (0, 0)))
-        m2 = TorusMorphism(jd, jw1, ((0, 0), (0, 0), (1, 0), (0, 1)))
-        m3 = TorusMorphism(jd, jw1, ((-2, 0), (0, -1), (-1, 0), (0, -1)))
-        return JW1Data(label, jw1, (m1, m2, m3), 2)
+        m3 = TorusMorphism(jd, total, ((-2, 0), (0, -1), (-1, 0), (0, -1)))
+        return JW1Data(label, total, (i1, i2, m3), 2)
     raise ValueError(f"unknown stratum label {label!r}")
 
 
@@ -506,6 +500,17 @@ class RestrictionData:
     seed: int
 
 
+@lru_cache(maxsize=None)
+def _constraint_columns(classes):
+    """(J, (subᵀ)⁻¹): pivot columns J of the Ỹ constraint classes and the
+    inverse transpose of their invertible (k+1)×(k+1) block sub on J."""
+    cols = exact.pivot_columns(classes)
+    if len(cols) < len(classes):
+        raise ValueError("constraint classes are rank deficient")
+    sub = [[row[t] for t in cols] for row in classes]
+    return cols, exact.transpose(exact.rational_inverse(sub))
+
+
 def generate_restriction_data(model, seed):
     """Seeded generic restriction data with the ψ constraints built in."""
     rng = random.Random(seed)
@@ -523,12 +528,9 @@ def generate_restriction_data(model, seed):
         )
         z_points.append(pts)
     # constraint classes on Ỹ: D₁..D_k then L
-    classes = [list(yt.double_curves[i + 1]) for i in range(k)] + [list(yt.l_class)]
-    cols = exact.pivot_columns(classes)
-    if len(cols) < len(classes):
-        raise ValueError("constraint classes are rank deficient")
-    sub = [[row[t] for t in cols] for row in classes]  # (k+1)×(k+1), invertible
-    subt_inv = exact.transpose(exact.rational_inverse(sub))
+    classes = tuple(tuple(yt.double_curves[i + 1]) for i in range(k))
+    classes += (tuple(yt.l_class),)
+    cols, subt_inv = _constraint_columns(classes)
     psi_matrices = []
     for i in range(k):
         raw = [[rnd() for _ in range(n)] for _ in range(2)]

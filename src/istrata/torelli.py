@@ -14,7 +14,7 @@ from math import isqrt
 
 from .exact import VerificationError
 from .monodromy import build_frame, pair_index_pattern
-from .roots import build_En_lattice
+from .roots import build_En_lattice, weyl_reflect
 from .strata import (
     STRATUM_LABELS,
     build_stratum_model,
@@ -179,18 +179,13 @@ def _signed_vectors(slots, target_sum, target_sq):
 def exceptional_via_weyl_orbit(n):
     """Independent oracle: the Weyl orbit of ε_n under the κ⊥ reflections."""
     L, h, eps, kappa, alphas = build_En_lattice(n)
-
-    def reflect(x, a):
-        c = L.pairing(x, a)
-        return tuple(u + c * v for u, v in zip(x, a))
-
     seen = {tuple(eps[-1])}
     frontier = [tuple(eps[-1])]
     while frontier:
         nxt = []
         for x in frontier:
             for a in alphas:
-                y = reflect(x, a)
+                y = weyl_reflect(L, a, x)
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)

@@ -107,22 +107,7 @@ class TorusMorphism:
 
 
 def identity_morphism(T):
-    return TorusMorphism(T, T, tuple(tuple(exact.identity_matrix(T.rank)[i]) for i in range(T.rank)))
-
-
-def direct_sum_morphism(fs):
-    """Block-diagonal sum of morphisms."""
-    src = RationalTorus(sum(f.source.rank for f in fs))
-    tgt = RationalTorus(sum(f.target.rank for f in fs))
-    m = [[0] * src.rank for _ in range(tgt.rank)]
-    ro = co = 0
-    for f in fs:
-        for i, row in enumerate(f.matrix):
-            for j, x in enumerate(row):
-                m[ro + i][co + j] = x
-        ro += f.target.rank
-        co += f.source.rank
-    return TorusMorphism(src, tgt, tuple(tuple(r) for r in m))
+    return TorusMorphism(T, T, exact.identity_matrix(T.rank))
 
 
 def stack_morphisms(fs):
@@ -194,10 +179,9 @@ def quotient_torus(T, points):
     for p in closure:
         rows.append([int(c * denom) for c in p.coords])
     basis = exact.hnf_rows(rows)  # rows: basis of denom·L
-    # A has the lattice basis vectors of L as columns (old coordinates)
-    a = [[Fraction(basis[j][i], denom) for j in range(g)] for i in range(g)]
-    m = exact.rational_inverse(a)
-    proj = TorusMorphism(T, RationalTorus(g), tuple(tuple(r) for r in m))
+    # the columns of transpose(basis)/denom are a basis of L (old coordinates)
+    inv = exact.rational_inverse(exact.transpose(basis))
+    proj = TorusMorphism(T, RationalTorus(g), [[denom * x for x in row] for row in inv])
     if proj.degree() != len(closure):
         raise exact.VerificationError("quotient degree differs from the subgroup order")
     return proj.target, proj
@@ -278,7 +262,7 @@ def build_jw1_cover_diagram():
     raws = proj.compose(inclusion(4, s))
     # normalize quotient coordinates so that JΓ₁⊕JΓ₂ → JW₁ is the identity
     pair = [list(a) + list(b) for a, b in zip(raw1.matrix, raw2.matrix)]
-    norm = exact.rational_inverse(pair)
+    norm = exact.unimodular_inverse(pair)
     renorm = TorusMorphism(jw1, jw1, tuple(tuple(r) for r in norm))
     proj = renorm.compose(proj)
     m1 = renorm.compose(raw1)

@@ -98,6 +98,11 @@ class TestDetInverse:
         with pytest.raises(ValueError):
             exact.rational_inverse([[1, 2], [2, 4]])
 
+    def test_non_square_inverse_raises(self):
+        # a 2×3 matrix has no two-sided inverse, even though it has full rank
+        with pytest.raises(ValueError, match="not square"):
+            exact.rational_inverse([[1, 0, 0], [0, 1, 0]])
+
     def test_unimodular_inverse_rejects_non_unimodular(self):
         # a ValueError, not an assert, so the check also runs under python -O
         assert exact.unimodular_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]

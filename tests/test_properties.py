@@ -7,7 +7,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -167,6 +167,32 @@ def test_solve_unique_recovers_x(a, x):
     # full column rank, certified by an independent Smith normal form
     assume(len(exact.invariant_factors(a)) == 3)
     assert exact.solve_unique(a, exact.mat_vec(a, x)) == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_solve_unique_any_rank(data):
+    # a of any rank (small entries make deficient ranks common); b is either
+    # a·x, always consistent, or arbitrary
+    ncols = data.draw(st.integers(min_value=1, max_value=3))
+    small = st.integers(min_value=-2, max_value=2)
+    row = st.lists(small, min_size=ncols, max_size=ncols)
+    a = data.draw(st.lists(row, min_size=1, max_size=4))
+    if data.draw(st.booleans()):
+        b = exact.mat_vec(a, data.draw(st.lists(fracs, min_size=ncols, max_size=ncols)))
+    else:
+        b = data.draw(st.lists(fracs, min_size=len(a), max_size=len(a)))
+    rank = len(exact.invariant_factors(a))
+    if rank < ncols:
+        with pytest.raises(ValueError):
+            exact.solve_unique(a, b)
+        return
+    den = lcm(*(Fraction(y).denominator for y in b))
+    augmented = [r + [int(y * den)] for r, y in zip(a, b)]
+    x = exact.solve_unique(a, b)
+    assert (x is None) == (len(exact.invariant_factors(augmented)) > rank)
+    if x is not None:
+        assert exact.mat_vec(a, x) == b
 
 
 @settings(max_examples=80, deadline=None)

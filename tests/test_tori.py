@@ -8,7 +8,6 @@ from istrata.tori import (
     TorusMorphism,
     TorusPoint,
     build_jw1_cover_diagram,
-    direct_sum_morphism,
     identity_morphism,
     kernel_points,
     n_torsion,
@@ -139,12 +138,3 @@ class TestJw1Diagram:
         k1s = kernel_points(stack_via_sum(d.marking1, d.marking_sigma))[0].order
         k2s = kernel_points(stack_via_sum(d.marking2, d.marking_sigma))[0].order
         assert sorted([k12, k1s, k2s]) == [1, 2, 2]
-
-
-class TestDirectSum:
-    def test_block_structure(self):
-        f = TorusMorphism(RationalTorus(1), RationalTorus(1), ((2,),))
-        g = TorusMorphism(RationalTorus(1), RationalTorus(1), ((3,),))
-        h = direct_sum_morphism([f, g])
-        assert h.matrix == ((2, 0), (0, 3))
-        assert h.degree() == 6
