@@ -71,16 +71,22 @@ def dot_gram(u, gram, v):
 
 
 def smith_normal_form(a):
-    """Return (U, D, V) with U·a·V = D diagonal, divisibility chain, U, V unimodular.
+    """Return (U, facs, V, W) with U·a·V = D, U and V unimodular, W = V⁻¹.
+
+    D is the m×n matrix with the invariant factors facs = [d₁, d₂, …],
+    d₁ | d₂ | … all positive, leading its diagonal and zeros elsewhere, so
+    len(facs) is the rank.  W tracks every column operation on V as the
+    inverse row operation (Cohen, GTM 138, §2.4.4).
 
     Pivot rule: smallest nonzero absolute value, ties broken by lowest
-    (row, col) index.  Diagonal entries are non-negative.
+    (row, col) index.
     """
     A = copy_matrix(a)
     m = len(A)
     n = len(A[0]) if m else 0
     U = identity_matrix(m)
     V = identity_matrix(n)
+    W = identity_matrix(n)
 
     def row_sub(i, k, q):
         if q:
@@ -93,6 +99,7 @@ def smith_normal_form(a):
                 row[j] -= q * row[k]
             for row in V:
                 row[j] -= q * row[k]
+            W[k] = [x + q * y for x, y in zip(W[k], W[j])]
 
     def row_swap(i, k):
         A[i], A[k] = A[k], A[i]
@@ -103,6 +110,7 @@ def smith_normal_form(a):
             row[j], row[k] = row[k], row[j]
         for row in V:
             row[j], row[k] = row[k], row[j]
+        W[j], W[k] = W[k], W[j]
 
     k = 0
     while k < min(m, n):
@@ -161,13 +169,12 @@ def smith_normal_form(a):
             U[k] = [-x for x in U[k]]
         k += 1
 
-    return U, A, V
+    return U, [A[i][i] for i in range(k)], V, W
 
 
 def invariant_factors(a):
-    """Nonzero diagonal of the Smith normal form of a."""
-    _, d, _ = smith_normal_form(a)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
+    """Invariant factors d₁ | d₂ | … of a (positive; as many as its rank)."""
+    return smith_normal_form(a)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +321,11 @@ def rational_inverse(a):
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
-    p, d, v = smith_normal_form(a)
-    diag = [d[i][i] for i in range(n)]
-    if 0 in diag:
+    p, facs, v, _ = smith_normal_form(a)
+    if len(facs) < n:
         raise ValueError("matrix is singular")
-    den = lcm(*diag)
-    scaled = [[x * (den // di) for x, di in zip(row, diag)] for row in v]
+    den = lcm(*facs)
+    scaled = [[x * (den // di) for x, di in zip(row, facs)] for row in v]
     return [[Fraction(x, den) for x in row] for row in mat_mul(scaled, p)]
 
 
@@ -328,14 +334,11 @@ def unimodular_inverse(u):
     invariant factors are all 1; for square u it is the inverse.
 
     From the Smith form P·u·V = [I | 0], r = V[:, :m]·P (Cohen, GTM 138,
-    §2.4.4).  Raises ValueError when u has more rows than columns or an
-    invariant factor other than 1.
+    §2.4.4).  Raises ValueError unless u has m invariant factors, all 1.
     """
     m = len(u)
-    if m and m > len(u[0]):
-        raise ValueError("matrix is not unimodular")
-    p, d, v = smith_normal_form(u)
-    if any(d[i][i] != 1 for i in range(m)):
+    p, facs, v, _ = smith_normal_form(u)
+    if facs != [1] * m:
         raise ValueError("matrix is not unimodular")
     return mat_mul([row[:m] for row in v], p)
 
@@ -349,15 +352,14 @@ def solve_unique(a, b):
     inconsistent.  Raises ValueError when the solution is not unique.
     """
     n = len(a[0]) if a else 0
-    p, d, v = smith_normal_form(a)
-    diag = [d[i][i] for i in range(min(len(a), n)) if d[i][i]]
-    if len(diag) < n:
+    p, facs, v, _ = smith_normal_form(a)
+    if len(facs) < n:
         raise ValueError("solution not unique (rank-deficient system)")
     pb = mat_vec(p, b)
     if any(pb[n:]):
         return None
-    den = lcm(*diag)
-    y = [x * (den // di) for x, di in zip(pb, diag)]
+    den = lcm(*facs)
+    y = [x * (den // di) for x, di in zip(pb, facs)]
     return [Fraction(x, den) for x in mat_vec(v, y)]
 
 
@@ -366,29 +368,30 @@ def solve_unique(a, b):
 
 
 def integer_kernel(a):
-    """Basis (list of vectors) of {x ∈ ℤⁿ : a·x = 0}; automatically saturated."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    _, d, v = smith_normal_form(a)
-    r = sum(1 for i in range(min(m, n)) if d[i][i])
-    cols = transpose(v)
-    return [cols[j] for j in range(r, n)]
+    """Basis (list of vectors) of {x ∈ ℤⁿ : a·x = 0}; automatically saturated:
+    the columns of V past the rank."""
+    _, facs, v, _ = smith_normal_form(a)
+    return transpose(v)[len(facs):]
 
 
 def saturation(rows):
-    """Basis of the saturation of the integer row span of `rows` in ℤⁿ."""
-    _, d, v = smith_normal_form(rows)
-    r = sum(1 for i in range(min(len(rows), len(rows[0]))) if d[i][i])
-    vinv = unimodular_inverse(v)
-    return vinv[:r]
+    """Basis of the saturation of the integer row span of `rows` in ℤⁿ.
+
+    rows = U⁻¹·D·W spans dᵢ·W[i] for i < r; W = V⁻¹ is unimodular, so its
+    first r rows are a basis of the saturation.
+    """
+    _, facs, _, w = smith_normal_form(rows)
+    return w[:len(facs)]
 
 
 # ---------------------------------------------------------------------------
 # LLL reduction on a Gram matrix (integral: Cohen, GTM 138, Alg. 2.6.7)
 
+LLL_DELTA = (3, 4)  # Lovász constant δ = 3/4, as (numerator, denominator)
 
-def lll_reduce_gram(g0, delta=Fraction(3, 4)):
-    """LLL-reduce a positive definite Gram matrix.
+
+def lll_reduce_gram(g0):
+    """LLL-reduce a positive definite Gram matrix (δ = 3/4).
 
     Returns (g, u) with g = u·g0·uᵀ the reduced Gram and u unimodular.
     Integral LLL: d[i] is the i-th leading minor of the current Gram
@@ -396,8 +399,7 @@ def lll_reduce_gram(g0, delta=Fraction(3, 4)):
     below is exact.  Raises ValueError when g0 is not positive definite.
     """
     n = len(g0)
-    delta = Fraction(delta)
-    p, q = delta.numerator, delta.denominator
+    p, q = LLL_DELTA
     g = copy_matrix(g0)
     u = identity_matrix(n)
     d = [1] * (n + 1)

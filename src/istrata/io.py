@@ -46,10 +46,6 @@ def _is_ints(obj, n=None):
     )
 
 
-def lattice_to_json(lattice):
-    return {"rank": lattice.rank, "gram": [list(row) for row in lattice.gram]}
-
-
 def lattice_from_json(obj):
     gram = obj["gram"]
     if not isinstance(gram, list) or not all(_is_ints(row) for row in gram):

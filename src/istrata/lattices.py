@@ -13,12 +13,7 @@ from fractions import Fraction
 from math import prod
 
 from . import exact
-from .exact import (
-    hnf_rows,
-    integer_kernel,
-    invariant_factors,
-    reduce_mod_rows,
-)
+from .exact import hnf_rows, invariant_factors, reduce_mod_rows
 
 
 @dataclass(frozen=True)
@@ -169,18 +164,23 @@ def is_negative_definite(L):
 
 
 def orthogonal_complement(L, vectors):
-    """Basis of the saturated sublattice {x ∈ L : x·s = 0 for all s}.
+    """(B, R): rows B a basis of the saturated sublattice {x ∈ L : x·s = 0
+    for all s}, and R an integer right inverse of B.
 
-    Saturation comes for free from the SNF kernel computation and is
-    re-certified: the SNF of the returned coordinate matrix has all
-    invariant factors 1.
+    With P·a·V = D the Smith form of the pairing rows and r its rank, B is
+    the last columns of V (as rows) and R the last rows of W = V⁻¹ (as
+    columns).  B·R = I is certified: an integer right inverse proves B
+    primitive, i.e. the complement saturated.
     """
     g = L.gram_lists()
     a = [exact.vec_mat(list(s), g) for s in vectors]
-    basis = integer_kernel(a)
-    if basis and any(f != 1 for f in invariant_factors(basis)):
-        raise exact.VerificationError("complement not saturated")
-    return [tuple(b) for b in basis]
+    _, facs, v, w = exact.smith_normal_form(a)
+    r = len(facs)
+    basis = exact.transpose(v)[r:]
+    right = exact.transpose(w[r:])
+    if exact.mat_mul(basis, right) != exact.identity_matrix(len(basis)):
+        raise exact.VerificationError("complement basis has no integer right inverse")
+    return [tuple(b) for b in basis], right
 
 
 @dataclass(frozen=True)
@@ -204,13 +204,10 @@ def quotient_by_isotropic(L, s_rows):
     for s in s_rows:
         if not exact.is_zero_vector(exact.vec_mat(s, g)):
             raise ValueError("span is not in the radical of the form")
-    _, d, v = exact.smith_normal_form(s_rows)
-    k = len(s_rows)
-    facs = [d[i][i] for i in range(min(k, n)) if d[i][i]]
+    _, facs, v, vinv = exact.smith_normal_form(s_rows)
     if any(f != 1 for f in facs):
         raise ValueError("isotropic sublattice is not primitive")
     r = len(facs)
-    vinv = exact.unimodular_inverse(v)
     # rows of vinv: adapted basis of ℤⁿ; the first r rows span S
     s_hnf = hnf_rows(s_rows) if s_rows else []
     complement = [reduce_mod_rows(row, s_hnf) for row in vinv[r:]]

@@ -341,14 +341,17 @@ def slice_coordinates(result):
     }
 
 
-def random_deformation(seed, q=41, cuspidal=False):
+DEFORMATION_DENOM = 41  # random_deformation draws coefficients in (1/41)ℤ ∩ (−1, 1)
+
+
+def random_deformation(seed, cuspidal=False):
     """Seeded weight-6 polynomial with Weierstrass t⁰ part and random
     coefficients on every t-divisible monomial."""
     rng = random.Random(seed)
+    q = DEFORMATION_DENOM
 
     def rnd(nonzero=False):
-        v = Fraction(rng.randrange(1 if nonzero else -q, q), q)
-        return v
+        return Fraction(rng.randrange(1 if nonzero else -q, q), q)
 
     d = {_Y2: Fraction(-1), _X3: Fraction(1)}
     if not cuspidal:

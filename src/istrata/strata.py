@@ -22,6 +22,7 @@ from . import exact
 from .lattices import (
     IntegralLattice,
     direct_sum,
+    hyperbolic_plane,
     index_of_sublattice,
     is_negative_definite,
     lattice_predicates,
@@ -210,14 +211,8 @@ def _build_rat11():
 
 def _build_enriques():
     # U ⊕ E8 ⊕ ⟨−1⟩, basis (f₁, f₂, E8-block, e)
-    g = [[0] * 11 for _ in range(11)]
-    g[0][1] = g[1][0] = 1
-    e8 = _e8_root_gram()
-    for i in range(8):
-        for j in range(8):
-            g[2 + i][2 + j] = e8[i][j]
-    g[10][10] = -1
-    L = IntegralLattice(g)
+    L = direct_sum(hyperbolic_plane(), IntegralLattice(_e8_root_gram()),
+                   IntegralLattice([[-1]]))
     E = 10
     K = tuple(1 if i == E else 0 for i in range(11))
     d1 = tuple((1 if i == 0 else 0) - (1 if i == E else 0) for i in range(11))
@@ -354,11 +349,11 @@ def compute_lambda(label):
     m = build_stratum_model(label)
     amb = m.ambient
     span = [list(x) for x in m.xi] + [list(m.l_total)]
-    t_basis = [list(r) for r in orthogonal_complement(amb, span)]
+    t_rows, t_inverse = orthogonal_complement(amb, span)
+    t_basis = [list(r) for r in t_rows]
     t_gram = [[amb.pairing(a, b) for b in t_basis] for a in t_basis]
     T = IntegralLattice(t_gram)
     # T is saturated, so its coordinates are read off an integer right inverse
-    t_inverse = exact.unimodular_inverse(t_basis)
     xi_t = [exact.vec_mat(x, t_inverse) for x in m.xi]
     for x, c in zip(m.xi, xi_t):
         if exact.vec_mat(c, t_basis) != list(x):
@@ -394,26 +389,6 @@ def lambda_predicates(label):
         "unimodular": is_unimod,
         "negative_definite": is_negative_definite(lam),
     }
-
-
-# ---------------------------------------------------------------------------
-# lozenge type
-
-
-@dataclass(frozen=True)
-class LozengeType:
-    r: int
-    s: int
-
-
-def lozenge_type(rank_w0, rank_w1):
-    """◊_{r,s} from the weight-graded ranks: r = rank W₀, s = rank W₁ / 2
-    (the (1,0) Hodge number of the weight-1 piece)."""
-    if rank_w0 < 0 or rank_w1 < 0:
-        raise ValueError("ranks must be non-negative")
-    if rank_w1 % 2:
-        raise ValueError("weight-1 rank must be even")
-    return LozengeType(rank_w0, rank_w1 // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,10 @@ class PeriodAssignment:
     n: int
     values: tuple  # v₁..v_n on α₁..α_n; κ ↦ 0 implicitly
 
+    def __post_init__(self):
+        if self.n < 3 or len(self.values) != self.n:
+            raise ValueError("period count mismatch")
+
 
 def period_map(config):
     """vᵢ = p_{i+1} − pᵢ (i < n) and v_n = −p_{n−2} − p_{n−1} − p_n.
@@ -74,17 +78,14 @@ def _flatten(config):
     return tuple(c for p in config.points for c in p.coords)
 
 
-def reconstruct_points(periods, n=None):
+def reconstruct_points(periods):
     """Invert the period map up to translation by a 3-torsion point.
 
     With cᵢ = Σ_{j<i} vⱼ (so pᵢ = p₁ + cᵢ), the last period forces
     3p₁ = −(v_n + c_{n−2} + c_{n−1} + c_n); the nine solutions differ by
     E[3] and each reproduces the input periods exactly.
     """
-    if n is None:
-        n = periods.n
-    if n < 3 or n != periods.n:
-        raise ValueError("period count mismatch")
+    n = periods.n
     v = periods.values
     T = RationalTorus(2)
     c = [T.zero()]
@@ -115,19 +116,6 @@ def canonical_translate(config):
 
 # ---------------------------------------------------------------------------
 # exceptional classes
-
-
-def is_exceptional(n, alpha):
-    """Membership test α² = α·K = −1 in the blowup basis ⟨h, ε₁..ε_n⟩."""
-    L, h, eps, kappa, alphas = build_En_lattice(n)
-    return L.norm(alpha) == -1 and L.pairing(alpha, kappa) == 1
-
-
-def is_effective(alpha, y):
-    """Effectiveness of an exceptional class against a nef class y: α·y ≥ 0."""
-    n = len(alpha) - 1
-    L, *_ = build_En_lattice(n)
-    return L.pairing(alpha, y) >= 0
 
 
 def enumerate_exceptional(n):

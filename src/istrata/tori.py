@@ -141,17 +141,13 @@ def kernel_points(f):
     nontrivial invariant factor.
     """
     g = f.source.rank
-    _, d, v = exact.smith_normal_form([list(r) for r in f.matrix])
-    divisors = [d[i][i] for i in range(min(f.target.rank, g))]
-    if len(divisors) < g or 0 in divisors:
+    _, facs, v, _ = exact.smith_normal_form([list(r) for r in f.matrix])
+    if len(facs) < g:
         raise ValueError("morphism not injective over ℚ (kernel infinite)")
-    gens = []
-    facs = []
-    for i, di in enumerate(divisors):
-        if di > 1:
-            col = [Fraction(v[t][i], di) for t in range(g)]
-            gens.append(TorusPoint(tuple(col)))
-            facs.append(di)
+    gens = [
+        TorusPoint(tuple(Fraction(v[t][i], di) for t in range(g)))
+        for i, di in enumerate(facs) if di > 1
+    ]
     return FiniteAbelianGroup(tuple(facs)), gens
 
 
@@ -197,11 +193,10 @@ def quotient_by_subtorus(f):
     invariant factors 1), which holds for every diagram built here.
     """
     gs, gt = f.source.rank, f.target.rank
-    u, d, _ = exact.smith_normal_form([list(r) for r in f.matrix])
-    divisors = [d[i][i] for i in range(min(gt, gs))]
-    if len(divisors) < gs or 0 in divisors:
+    u, facs, _, _ = exact.smith_normal_form([list(r) for r in f.matrix])
+    if len(facs) < gs:
         raise ValueError("morphism not injective over ℚ")
-    if any(di != 1 for di in divisors):
+    if any(di != 1 for di in facs):
         raise ValueError("image is not a primitively embedded subtorus")
     q_rows = [list(u[i]) for i in range(gs, gt)]
     return TorusMorphism(f.target, RationalTorus(gt - gs), tuple(tuple(r) for r in q_rows))
@@ -213,14 +208,7 @@ def quotient_by_subtorus(f):
 
 @dataclass(frozen=True)
 class Jw1CoverDiagram:
-    base: RationalTorus  # JB
-    gamma1: RationalTorus
-    gamma2: RationalTorus
-    sigma: RationalTorus  # Jσ
-    cover1: TorusMorphism  # JB → JΓ₁, kernel ⟨η₁⟩
-    cover2: TorusMorphism  # JB → JΓ₂, kernel ⟨η₂⟩
     jw1: RationalTorus
-    projection: TorusMorphism  # JΓ₁⊕JΓ₂⊕Jσ → JW₁
     marking1: TorusMorphism  # JΓ₁ → JW₁
     marking2: TorusMorphism  # JΓ₂ → JW₁
     marking_sigma: TorusMorphism  # Jσ → JW₁
@@ -264,7 +252,6 @@ def build_jw1_cover_diagram():
     pair = [list(a) + list(b) for a, b in zip(raw1.matrix, raw2.matrix)]
     norm = exact.unimodular_inverse(pair)
     renorm = TorusMorphism(jw1, jw1, tuple(tuple(r) for r in norm))
-    proj = renorm.compose(proj)
     m1 = renorm.compose(raw1)
     m2 = renorm.compose(raw2)
     ms = renorm.compose(raws)
@@ -279,11 +266,7 @@ def build_jw1_cover_diagram():
         grp, gens = kernel_points(stack_via_sum(mi, ms))
         if grp.order != 2:
             raise exact.VerificationError("JΓᵢ ⊕ Jσ → JW₁ kernel is not of order 2")
-    return Jw1CoverDiagram(
-        base=B, gamma1=g1, gamma2=g2, sigma=s,
-        cover1=c1, cover2=c2, jw1=jw1, projection=proj,
-        marking1=m1, marking2=m2, marking_sigma=ms,
-    )
+    return Jw1CoverDiagram(jw1=jw1, marking1=m1, marking2=m2, marking_sigma=ms)
 
 
 def stack_via_sum(f, g):

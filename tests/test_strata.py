@@ -7,10 +7,10 @@ import pytest
 
 from istrata import exact
 from istrata.lattices import lattice_predicates
+from istrata.monodromy import build_frame
 from istrata.roots import _ade_label, enumerate_roots
 from istrata.strata import (
     STRATUM_LABELS,
-    LozengeType,
     beta11_weight_crosscheck,
     build_stratum_model,
     completed_E8_roots,
@@ -20,7 +20,6 @@ from istrata.strata import (
     extension_map,
     generate_restriction_data,
     lambda_predicates,
-    lozenge_type,
     marking_pair_indices,
     rat22_class_solve,
 )
@@ -76,6 +75,18 @@ class TestModels:
 
 
 class TestLambda:
+    def test_one_smith_form_per_matrix(self, monkeypatch):
+        # a cold Λ: ξ primitivity, complement, isotropic quotient, root index;
+        # a frame: W1 saturation, the duals, the W1 certificate
+        calls = []
+        snf = exact.smith_normal_form
+        monkeypatch.setattr(exact, "smith_normal_form", lambda a: calls.append(a) or snf(a))
+        compute_lambda.__wrapped__("rat21")
+        assert len(calls) == 4
+        calls.clear()
+        build_frame("rat21")
+        assert len(calls) == 3
+
     def test_predicates_all_strata(self):
         for label in STRATUM_LABELS:
             p = lambda_predicates(label)
@@ -138,22 +149,11 @@ def test_pinned_lambda_roots(label):
 
 
 class TestLozenge:
-    def test_values(self):
-        assert lozenge_type(0, 4) == LozengeType(0, 2)
-        assert lozenge_type(0, 0) == LozengeType(0, 0)
-        assert lozenge_type(0, 2) == LozengeType(0, 1)
-
-    def test_odd_rank_rejected(self):
-        with pytest.raises(ValueError):
-            lozenge_type(0, 3)
-
     def test_every_stratum_is_0_2(self):
-        # W₀ = 0 and rank W₁ = 4 on every stratum frame
-        from istrata.monodromy import build_frame
-
+        # ◊_{0,2}: W₀ = 0 and rank W₁ = 4 on every stratum frame
         for label in STRATUM_LABELS:
             f = build_frame(label)
-            assert lozenge_type(0, len(f.w1_basis)) == LozengeType(0, 2)
+            assert len(f.w1_basis) == 4
 
 
 class TestJW1:

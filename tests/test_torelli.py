@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from istrata import torelli
+from istrata.roots import build_En_lattice
 from istrata.tori import RationalTorus
 from istrata.torelli import (
     AnticanonicalConfig,
@@ -15,8 +16,6 @@ from istrata.torelli import (
     enumerate_exceptional,
     exceptional_via_weyl_orbit,
     gen_fixture,
-    is_effective,
-    is_exceptional,
     period_map,
     reconstruct_111,
     reconstruct_points,
@@ -75,9 +74,8 @@ class TestPeriodMap:
             assert period_map(c).values == per.values
 
     def test_period_count_mismatch(self):
-        per = PeriodAssignment(n=4, values=(T.zero(),) * 4)
-        with pytest.raises(ValueError):
-            reconstruct_points(per, n=5)
+        with pytest.raises(ValueError, match="period count mismatch"):
+            PeriodAssignment(n=5, values=(T.zero(),) * 4)
 
 
 class TestExceptional:
@@ -91,6 +89,11 @@ class TestExceptional:
         assert set(direct) == set(orbit)
 
     def test_membership(self):
+        # exceptional: α² = −1 and α·κ = 1 in the blowup basis ⟨h, ε₁..ε_n⟩
+        def is_exceptional(n, alpha):
+            L, _, _, kappa, _ = build_En_lattice(n)
+            return L.norm(alpha) == -1 and L.pairing(alpha, kappa) == 1
+
         for n in (4, 6, 8):
             for alpha in enumerate_exceptional(n):
                 assert is_exceptional(n, alpha)
@@ -104,10 +107,12 @@ class TestExceptional:
             enumerate_exceptional(2)
 
     def test_effectiveness(self):
+        # effective against a nef class y: α·y ≥ 0
+        L, *_ = build_En_lattice(5)
         y = (3, -1, -1, -1, -1, -1)  # anticanonical class of dP4
-        assert all(is_effective(a, y) for a in enumerate_exceptional(5))
+        assert all(L.pairing(a, y) >= 0 for a in enumerate_exceptional(5))
         # ε₁·ε₁ = −1, so ε₁ fails against the class y = ε₁
-        assert not is_effective((0, 1, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
+        assert L.pairing((0, 1, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)) < 0
 
 
 class TestClassifier:
