@@ -2,7 +2,7 @@
 
 Subpackages:
 
-- ``exact``: integer/rational linear algebra (SNF, HNF, LLL, short vectors)
+- ``exact``: integer/rational linear algebra (SNF, LLL, short vectors)
 - ``lattices``: integral quadratic lattices, complements, quotients
 - ``roots``: ADE root systems and Niemeier identification
 - ``tori``: rational tori (Jacobians), morphisms, kernels, quotients

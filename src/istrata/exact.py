@@ -177,78 +177,15 @@ def invariant_factors(a):
     return smith_normal_form(a)[1]
 
 
-# ---------------------------------------------------------------------------
-# Hermite normal form (row style)
-
-
-def hermite_normal_form(a):
-    """Return (H, U) with U·a = H in row Hermite normal form, U unimodular.
-
-    Pivots are positive, entries above a pivot are reduced into [0, pivot).
-    """
-    A = copy_matrix(a)
-    m = len(A)
-    n = len(A[0]) if m else 0
-    U = identity_matrix(m)
-    r = 0
-    for j in range(n):
-        # smallest |nonzero| pivot in column j at or below row r
-        piv = None
-        best = None
-        for i in range(r, m):
-            v = abs(A[i][j])
-            if v and (best is None or v < best):
-                best = v
-                piv = i
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        U[r], U[piv] = U[piv], U[r]
-        while any(A[i][j] for i in range(r + 1, m)):
-            for i in range(r + 1, m):
-                while A[i][j]:
-                    q = A[i][j] // A[r][j]
-                    A[i] = [x - q * y for x, y in zip(A[i], A[r])]
-                    U[i] = [x - q * y for x, y in zip(U[i], U[r])]
-                    if A[i][j]:
-                        A[i], A[r] = A[r], A[i]
-                        U[i], U[r] = U[r], U[i]
-        if A[r][j] < 0:
-            A[r] = [-x for x in A[r]]
-            U[r] = [-x for x in U[r]]
-        for i in range(r):
-            q = A[i][j] // A[r][j]
-            if q:
-                A[i] = [x - q * y for x, y in zip(A[i], A[r])]
-                U[i] = [x - q * y for x, y in zip(U[i], U[r])]
-        r += 1
-        if r == m:
-            break
-    return A, U
-
-
-def hnf_rows(a):
-    """Nonzero rows of the row Hermite normal form of a."""
-    h, _ = hermite_normal_form(a)
-    return [row for row in h if not is_zero_vector(row)]
-
-
-def reduce_mod_rows(v, hrows):
-    """Reduce a vector modulo the row span of rows already in HNF."""
-    v = list(v)
-    for row in hrows:
-        j = next(i for i, x in enumerate(row) if x)
-        q = v[j] // row[j]
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-    return v
-
-
 def in_row_span(rows, v):
-    """Is v in the integer row span of `rows`?"""
-    if not rows:
-        return is_zero_vector(v)
-    return is_zero_vector(reduce_mod_rows(v, hnf_rows(rows)))
+    """Is v in the integer row span of `rows`?
+
+    With P·rows·V = D the Smith form and y = v·V, v = y·W lies in the span
+    of dᵢ·W[i] (i < r) iff dᵢ | yᵢ below the rank r and yᵢ = 0 past it.
+    """
+    _, facs, vm, _ = smith_normal_form(rows or [[0] * len(v)])
+    y = vec_mat(v, vm)
+    return all(x % d == 0 for x, d in zip(y, facs)) and not any(y[len(facs):])
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +241,15 @@ def symmetric_bareiss(g):
 def pivot_columns(a):
     """Indices of the columns of a that are not in the ℚ-span of earlier columns.
 
-    They are the leading columns of the row Hermite form of a, index a basis
-    of the column space, and their number is the rank over ℚ.
+    Greedy: column j is kept when it raises the rank (the number of invariant
+    factors) of the columns already kept.  They index a basis of the column
+    space, and their number is the rank over ℚ.
     """
-    return [next(j for j, x in enumerate(row) if x) for row in hnf_rows(a)]
+    cols = []
+    for j in range(len(a[0]) if a else 0):
+        if len(invariant_factors([[row[t] for t in cols + [j]] for row in a])) > len(cols):
+            cols.append(j)
+    return cols
 
 
 def rational_inverse(a):
@@ -375,13 +317,16 @@ def integer_kernel(a):
 
 
 def saturation(rows):
-    """Basis of the saturation of the integer row span of `rows` in ℤⁿ.
+    """(B, R): rows B a basis of the saturation of the integer row span of
+    `rows` in ℤⁿ, and R an integer right inverse of B (B·R = I).
 
     rows = U⁻¹·D·W spans dᵢ·W[i] for i < r; W = V⁻¹ is unimodular, so its
-    first r rows are a basis of the saturation.
+    first r rows are a basis of the saturation, and the first r columns of
+    V are a right inverse.
     """
-    _, facs, _, w = smith_normal_form(rows)
-    return w[:len(facs)]
+    _, facs, v, w = smith_normal_form(rows)
+    r = len(facs)
+    return w[:r], [row[:r] for row in v]
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,10 @@ def polynomial_from_json(obj):
         if not re.fullmatch(r"\d+(,\d+){3}", key):
             raise InputError(f"bad exponent key {key!r}")
         d[tuple(int(e) for e in key.split(","))] = fraction_from_str(val)
-    return WeightedPolynomial.from_dict(d)
+    try:
+        return WeightedPolynomial.from_dict(d)
+    except ValueError as exc:  # a monomial of weight other than 6
+        raise InputError(str(exc)) from exc
 
 
 def dataset_to_json(ds):

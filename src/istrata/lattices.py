@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import prod
 
 from . import exact
-from .exact import hnf_rows, invariant_factors, reduce_mod_rows
+from .exact import invariant_factors
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,8 @@ def orthogonal_complement(L, vectors):
     primitive, i.e. the complement saturated.
     """
     g = L.gram_lists()
-    a = [exact.vec_mat(list(s), g) for s in vectors]
+    # a zero row keeps the column count of an empty list of vectors
+    a = [exact.vec_mat(list(s), g) for s in vectors] or [[0] * L.rank]
     _, facs, v, w = exact.smith_normal_form(a)
     r = len(facs)
     basis = exact.transpose(v)[r:]
@@ -187,7 +188,7 @@ def orthogonal_complement(L, vectors):
 class QuotientResult:
     lattice: IntegralLattice
     projection: tuple  # (rank-r) × n matrix; quotient coords = projection · v
-    lifts: tuple  # rows: HNF-reduced coset representatives of the quotient basis
+    lifts: tuple  # rows: coset representatives of the quotient basis
 
 
 def quotient_by_isotropic(L, s_rows):
@@ -196,27 +197,25 @@ def quotient_by_isotropic(L, s_rows):
     Preconditions: every s is isotropic and lies in the radical of the form
     on L (s·x = 0 for all x), so the induced Gram on L/S is well defined.
     Returns the quotient lattice, the projection matrix (quotient coords of
-    an ambient vector are projection·v), and HNF-reduced coset lifts.
+    an ambient vector are projection·v), and coset lifts of its basis.
     """
     s_rows = [list(s) for s in s_rows]
     g = L.gram_lists()
-    n = L.rank
     for s in s_rows:
         if not exact.is_zero_vector(exact.vec_mat(s, g)):
             raise ValueError("span is not in the radical of the form")
-    _, facs, v, vinv = exact.smith_normal_form(s_rows)
+    _, facs, v, vinv = exact.smith_normal_form(s_rows or [[0] * L.rank])
     if any(f != 1 for f in facs):
         raise ValueError("isotropic sublattice is not primitive")
     r = len(facs)
-    # rows of vinv: adapted basis of ℤⁿ; the first r rows span S
-    s_hnf = hnf_rows(s_rows) if s_rows else []
-    complement = [reduce_mod_rows(row, s_hnf) for row in vinv[r:]]
+    # rows of vinv: adapted basis of ℤⁿ; the first r span S, the rest lift L/S
+    complement = vinv[r:]
     q_gram = [
         [exact.dot_gram(a, g, b) for b in complement] for a in complement
     ]
     # projection: ambient coords -> quotient coords (drop the S part);
     # x = y·vinv ⇒ y = x·v, so the columns of v past r give the quotient coords
-    proj = [[v[i][r + j] for i in range(n)] for j in range(n - r)]
+    proj = exact.transpose(v)[r:]
     return QuotientResult(
         lattice=IntegralLattice(q_gram),
         projection=tuple(tuple(row) for row in proj),

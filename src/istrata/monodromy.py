@@ -96,7 +96,7 @@ def build_frame(label):
     cycles = []
     for a, b in zip(alphas, betas):
         cycles.extend([list(a), list(b)])
-    w1 = exact.saturation(cycles)
+    w1, right = exact.saturation(cycles)
     frame = MonodromyFrame(
         label=kind,
         ambient=ambient,
@@ -105,7 +105,7 @@ def build_frame(label):
         w1_basis=tuple(tuple(r) for r in w1),
         duals=_duals(ambient, alphas, betas),
     )
-    _check_frame(frame)
+    _check_frame(frame, right)
     return frame
 
 
@@ -122,7 +122,9 @@ def _duals(ambient, alphas, betas):
     return tuple(zero + col for col in zip(*cinv))
 
 
-def _check_frame(frame):
+def _check_frame(frame, right):
+    """Certify the cycles isotropic and W₁ primitive of rank 4: `right`, from
+    the saturation, is an integer right inverse of its basis."""
     g = frame.ambient.gram_lists()
     cycles = frame.cycles()
     for a in cycles:
@@ -130,7 +132,7 @@ def _check_frame(frame):
             if exact.dot_gram(list(a), g, list(b)) != 0:
                 raise exact.VerificationError("cycle span is not isotropic")
     w1 = [list(r) for r in frame.w1_basis]
-    if len(w1) != 4 or any(f != 1 for f in exact.invariant_factors(w1)):
+    if len(w1) != 4 or exact.mat_mul(w1, right) != exact.identity_matrix(4):
         raise exact.VerificationError("W1 is not a primitive rank-4 sublattice")
     if frame.label == "ell111":
         a1, a2, a3 = frame.alphas
@@ -194,10 +196,9 @@ def weight_data(N):
         raise ValueError("operator does not square to zero")
     cols = exact.transpose(m)
     nonzero = [c for c in cols if not exact.is_zero_vector(c)]
-    im = exact.saturation(nonzero) if nonzero else []
-    was_saturated = bool(nonzero) and all(
-        exact.in_row_span(nonzero, v) for v in im
-    ) or not nonzero
+    _, facs, _, w = exact.smith_normal_form(nonzero)
+    im = w[:len(facs)]
+    was_saturated = all(f == 1 for f in facs)
     ker = exact.integer_kernel(m)
     for v in im:
         if not exact.is_zero_vector(exact.mat_vec(m, v)):

@@ -166,7 +166,9 @@ def quotient_torus(T, points):
 
     The quotient is ℝ^g/L for L = ℤ^g + lifts; rewriting in a basis of L
     identifies it with a standard torus, and the projection matrix is the
-    basis-change (integral because ℤ^g ⊆ L), of degree |F|.
+    basis-change (integral because ℤ^g ⊆ L), of degree |F|.  The rows span
+    denom·L; with P·rows·V = D, its basis dᵢ·W[i] gives the projection
+    denom·D⁻¹·Vᵀ: row i is (denom / dᵢ) times column i of V.
     """
     closure = _check_subgroup(T, points)
     g = T.rank
@@ -174,10 +176,9 @@ def quotient_torus(T, points):
     rows = [[denom if i == j else 0 for j in range(g)] for i in range(g)]
     for p in closure:
         rows.append([int(c * denom) for c in p.coords])
-    basis = exact.hnf_rows(rows)  # rows: basis of denom·L
-    # the columns of transpose(basis)/denom are a basis of L (old coordinates)
-    inv = exact.rational_inverse(exact.transpose(basis))
-    proj = TorusMorphism(T, RationalTorus(g), [[denom * x for x in row] for row in inv])
+    _, facs, v, _ = exact.smith_normal_form(rows)
+    matrix = [[denom // d * x for x in col] for d, col in zip(facs, zip(*v))]
+    proj = TorusMorphism(T, RationalTorus(g), matrix)
     if proj.degree() != len(closure):
         raise exact.VerificationError("quotient degree differs from the subgroup order")
     return proj.target, proj

@@ -210,7 +210,9 @@ class TestCli:
         assert report is None
         assert "input error" in err
 
-    @pytest.mark.parametrize("key, value", [("0,0,3,0", "0.5"), ("0,3,0", "1")])
+    @pytest.mark.parametrize(
+        "key, value", [("0,0,3,0", "0.5"), ("0,3,0", "1"), ("1,0,0,0", "1")]
+    )
     def test_malformed_polynomial_is_input_error(self, capsys, tmp_path, key, value):
         obj = serial.polynomial_to_json(normalform.random_deformation(9))
         obj[key] = value

@@ -50,20 +50,6 @@ class TestSmithNormalForm:
 
 
 class TestHermite:
-    def test_transform_identity(self):
-        rng = random.Random(1)
-        for _ in range(25):
-            a = random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-            h, u = exact.hermite_normal_form(a)
-            assert exact.mat_mul(u, a) == h
-            assert is_unimodular(u)
-
-    def test_pivot_normalization(self):
-        h, _ = exact.hermite_normal_form([[2, 1], [0, 3]])
-        # pivots positive, entry above second pivot reduced into [0, 3)
-        assert h[0][0] > 0 and h[1][1] > 0
-        assert 0 <= h[0][1] < h[1][1]
-
     def test_row_span_membership(self):
         rows = [[2, 0, 1], [0, 3, 1]]
         assert exact.in_row_span(rows, [2, 3, 2])
@@ -135,8 +121,9 @@ class TestKernels:
         assert len(k) == 2
 
     def test_saturation(self):
-        sat = exact.saturation([[2, 0], [0, 2]])
+        sat, right = exact.saturation([[2, 0], [0, 2]])
         assert abs(exact.det_bareiss(sat)) == 1
+        assert exact.mat_mul(sat, right) == exact.identity_matrix(2)
 
     def test_sublattice_index(self):
         rows = exact.identity_matrix(3)

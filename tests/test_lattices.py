@@ -93,6 +93,12 @@ class TestComplement:
         basis, _ = orthogonal_complement(U, [(1, 0)])
         assert basis == [(1, 0)]
 
+    def test_complement_of_nothing_is_everything(self):
+        U = hyperbolic_plane()
+        assert orthogonal_complement(U, []) == ([(1, 0), (0, 1)], [[1, 0], [0, 1]])
+        q = quotient_by_isotropic(U, [])
+        assert q.lattice.gram == U.gram and q.projection == q.lifts == ((1, 0), (0, 1))
+
 
 class TestQuotient:
     def test_U_by_e(self):

@@ -31,8 +31,16 @@ class TestFrames:
         # a check that must still run under python -O
         f = build_frame("ell111")
         a1, a2, _ = f.alphas
+        right = exact.unimodular_inverse([list(r) for r in f.w1_basis])
         with pytest.raises(exact.VerificationError, match="α₃"):
-            _check_frame(dataclasses.replace(f, alphas=(a1, a2, a1)))
+            _check_frame(dataclasses.replace(f, alphas=(a1, a2, a1)), right)
+
+    def test_w1_without_integer_right_inverse_is_verification_error(self):
+        f = build_frame("rational")
+        right = exact.unimodular_inverse([list(r) for r in f.w1_basis])
+        doubled = [[2 * x for x in row] for row in right]
+        with pytest.raises(exact.VerificationError, match="W1"):
+            _check_frame(f, doubled)
 
     def test_stratum_aliases(self):
         assert build_frame("rat11").label == "rational"
@@ -111,7 +119,7 @@ class TestOperators:
             for i in range(1, f.k + 1):
                 span = [list(f.alphas[i - 1]), list(f.betas[i - 1])]
                 assert len(exact.pivot_columns(span)) == 2
-                sat = exact.saturation(span)
+                sat, _ = exact.saturation(span)
                 for v in sat:
                     assert exact.in_row_span(span, v)
                 for v in span:

@@ -25,7 +25,7 @@ from istrata.lattices import (
 from istrata.normalform import apply_change, compose_changes, random_deformation
 from istrata.normalform import ChangeOfVariables, _substitute, monomial_weight
 from istrata.roots import _simple_roots, decompose_root_system, enumerate_roots
-from istrata.tori import RationalTorus, TorusPoint
+from istrata.tori import RationalTorus, TorusPoint, kernel_points, quotient_torus
 
 ints = st.integers(min_value=-20, max_value=20)
 
@@ -61,7 +61,7 @@ def test_snf_transform_identity_and_divisibility(a):
     assert all(f > 0 for f in facs)
     for x, y in zip(facs, facs[1:]):
         assert y % x == 0
-    # an independent rank, from the Hermite form
+    # the rank also counts the greedy independent columns
     assert len(facs) == len(exact.pivot_columns(a))
 
 
@@ -73,20 +73,23 @@ def test_det_multiplicative(a, b):
     ) * exact.det_bareiss(b)
 
 
-@settings(max_examples=40, deadline=None)
-@given(square_matrix(4))
-def test_hnf_preserves_row_span(m):
-    h, u = exact.hermite_normal_form(m)
-    assert exact.mat_mul(u, m) == h
-    for row in h:
-        if not exact.is_zero_vector(row):
-            assert exact.in_row_span(m, row)
-    for row in m:
-        nonzero = [r for r in h if not exact.is_zero_vector(r)]
-        if nonzero:
-            assert exact.in_row_span(nonzero, row)
-        else:
-            assert exact.is_zero_vector(row)
+@settings(max_examples=60, deadline=None)
+@given(
+    int_matrix(3, 4).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(ints, min_size=len(m[0]), max_size=len(m[0])),
+            st.lists(ints, min_size=len(m), max_size=len(m)),
+        )
+    )
+)
+def test_in_row_span_matches_invariant_factors(case):
+    # v is in the span iff appending it leaves the invariant factors alone
+    m, v, x = case
+    assert exact.in_row_span(m, v) == (
+        exact.invariant_factors(m + [v]) == exact.invariant_factors(m)
+    )
+    assert exact.in_row_span(m, exact.vec_mat(x, m))
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,6 +125,18 @@ def test_torus_order_annihilates(p):
     for _ in range(n):
         total = total + p
     assert total.is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.lists(ints, min_size=2, max_size=2))
+def test_quotient_torus_by_cyclic_subgroup(n, nums):
+    p = TorusPoint(tuple(Fraction(a, n) for a in nums))
+    order = p.order()
+    _, proj = quotient_torus(RationalTorus(2), [p.scale(k) for k in range(1, order)])
+    assert all(type(x) is int for row in proj.matrix for x in row)
+    assert proj.degree() == order
+    assert kernel_points(proj)[0].order == order
+    assert proj.apply(p).is_zero()
 
 
 small_fracs = st.fractions(

@@ -7,9 +7,10 @@ import pytest
 
 from istrata import exact
 from istrata.lattices import lattice_predicates
-from istrata.monodromy import build_frame
+from istrata.monodromy import build_frame, picard_lefschetz, weight_data
 from istrata.roots import _ade_label, enumerate_roots
 from istrata.strata import (
+    DEFAULT_ENRIQUES_ETA,
     STRATUM_LABELS,
     beta11_weight_crosscheck,
     build_stratum_model,
@@ -23,7 +24,7 @@ from istrata.strata import (
     marking_pair_indices,
     rat22_class_solve,
 )
-from istrata.tori import TorusPoint
+from istrata.tori import RationalTorus, TorusPoint, quotient_torus
 
 EXPECTED_ROOTS = {
     "rat11": ("E8+E8+E8", 720, 1),
@@ -77,15 +78,26 @@ class TestModels:
 class TestLambda:
     def test_one_smith_form_per_matrix(self, monkeypatch):
         # a cold Λ: ξ primitivity, complement, isotropic quotient, root index;
-        # a frame: W1 saturation, the duals, the W1 certificate
+        # a frame: W1 saturation (its right inverse certifies W1), the duals;
+        # the Enriques torus quotient: one, and no rational inverse;
+        # weight data: the image and the kernel
         calls = []
         snf = exact.smith_normal_form
         monkeypatch.setattr(exact, "smith_normal_form", lambda a: calls.append(a) or snf(a))
         compute_lambda.__wrapped__("rat21")
         assert len(calls) == 4
         calls.clear()
-        build_frame("rat21")
-        assert len(calls) == 3
+        frame = build_frame("rat21")
+        assert len(calls) == 2
+        calls.clear()
+        inverses = []
+        inv = exact.rational_inverse
+        monkeypatch.setattr(exact, "rational_inverse", lambda a: inverses.append(a) or inv(a))
+        quotient_torus(RationalTorus(4), [TorusPoint(DEFAULT_ENRIQUES_ETA)])
+        assert len(calls) == 1 and not inverses
+        calls.clear()
+        weight_data(picard_lefschetz(frame, 1))
+        assert len(calls) == 2
 
     def test_predicates_all_strata(self):
         for label in STRATUM_LABELS:
