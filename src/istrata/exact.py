@@ -271,20 +271,6 @@ def rational_inverse(a):
     return [[Fraction(x, den) for x in row] for row in mat_mul(scaled, p)]
 
 
-def unimodular_inverse(u):
-    """Integer right inverse r (u·r = I) of an m×n integer matrix whose m
-    invariant factors are all 1; for square u it is the inverse.
-
-    From the Smith form P·u·V = [I | 0], r = V[:, :m]·P (Cohen, GTM 138,
-    §2.4.4).  Raises ValueError unless u has m invariant factors, all 1.
-    """
-    m = len(u)
-    p, facs, v, _ = smith_normal_form(u)
-    if facs != [1] * m:
-        raise ValueError("matrix is not unimodular")
-    return mat_mul([row[:m] for row in v], p)
-
-
 def solve_unique(a, b):
     """Solve a·x = b (column convention) for an integer a of full column rank.
 

@@ -155,24 +155,27 @@ def dataset_from_json(obj):
            f"a dataset must have exactly the keys {sorted(_DATASET_KEYS)}")
     k = obj["k"]
     _check(type(k) is int and k >= 0, "k must be a nonnegative JSON integer")
-    _check(_is_ints(obj["pair_pattern"]), "pair_pattern must be a list of JSON integers")
+    pattern = obj["pair_pattern"]
+    _check(_is_ints(pattern) and all(x >= 1 for x in pattern),
+           "pair_pattern must be a list of JSON integers ≥ 1")
     _check(isinstance(obj["root_label"], str), "root_label must be a string")
     pairs = obj["jw1_pair_indices"]
     _check(
         isinstance(pairs, list)
         and all(
-            isinstance(e, list) and len(e) == 2 and _is_ints(e[0], 2) and type(e[1]) is int
+            isinstance(e, list) and len(e) == 2 and _is_ints(e[0], 2)
+            and type(e[1]) is int and e[1] >= 1
             for e in pairs
         )
         and [e[0] for e in pairs] == [[i, j] for i, j in combinations(range(k), 2)],
-        "jw1_pair_indices must list [[i, j], order] for each pair i < j < k in order",
+        "jw1_pair_indices must list [[i, j], order ≥ 1] for each pair i < j < k in order",
     )
     _check(isinstance(obj["summands"], list), "summands must be a list")
     summands = tuple(_summand_from_json(s) for s in obj["summands"])
     try:
         return BoundaryDataset(
             k=k,
-            pair_pattern=tuple(obj["pair_pattern"]),
+            pair_pattern=tuple(pattern),
             root_label=obj["root_label"],
             summands=summands,
             jw1_pair_indices=tuple((tuple(pair), order) for pair, order in pairs),

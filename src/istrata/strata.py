@@ -34,7 +34,6 @@ from .tori import (
     RationalTorus,
     TorusMorphism,
     TorusPoint,
-    build_jw1_cover_diagram,
     kernel_points,
     quotient_torus,
     stack_via_sum,
@@ -397,23 +396,21 @@ def lambda_predicates(label):
 
 @dataclass(frozen=True)
 class JW1Data:
-    stratum: str
     torus: RationalTorus  # JW₁, rank 4
     markings: tuple  # TorusMorphism JDᵢ → JW₁ per double curve
-    projection_degree: int  # degree of ⊕JDᵢ-side projection onto JW₁
-    eta: tuple | None = None  # Enriques gluing 2-torsion, as raw coords
 
 
-DEFAULT_ENRIQUES_ETA = (Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(0))
+ENRIQUES_ETA = (Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(0))
 
 
-def compute_JW1(model, eta=None):
+def compute_JW1(model):
     """JW₁ with the inclusion morphisms of the double-curve Jacobians.
 
     rational strata: JW₁ = JD₁ ⊕ JD₂.  Enriques: the ⟨η⟩-quotient of
-    JD₁ ⊕ JD₂ (η 2-torsion with both components nonzero).  ell111: the
-    cover diagram with JΓ₁ ⊕ JΓ₂ ≅ JW₁ and the section marking.  ell211:
-    JΓ ⊕ JB with two JB markings differing by the pullback isogeny.
+    JD₁ ⊕ JD₂ for the 2-torsion η = ENRIQUES_ETA, nonzero in both factors.
+    ell111: JΓ₁ ⊕ JΓ₂ with the section marking −(c₁ ⊕ c₂) for the covers
+    cᵢ: JB → JΓᵢ.  ell211: JΓ ⊕ JB with two JB markings differing by the
+    pullback isogeny.
     """
     label = model.stratum
     jd = RationalTorus(2)
@@ -421,29 +418,53 @@ def compute_JW1(model, eta=None):
     i1 = TorusMorphism(jd, total, ((1, 0), (0, 1), (0, 0), (0, 0)))
     i2 = TorusMorphism(jd, total, ((0, 0), (0, 0), (1, 0), (0, 1)))
     if label in ("rat11", "rat21", "rat22"):
-        return JW1Data(label, total, (i1, i2), 1)
+        return JW1Data(total, (i1, i2))
     if label == "enriques":
-        coords = DEFAULT_ENRIQUES_ETA if eta is None else tuple(Fraction(c) for c in eta)
-        p = TorusPoint(coords)
-        if not p.scale(2).is_zero():
-            raise ValueError("η must be 2-torsion")
-        if all(c == 0 for c in p.coords[:2]) or all(c == 0 for c in p.coords[2:]):
-            raise ValueError("η must have nonzero image in both JD factors")
-        jw1, proj = quotient_torus(total, [p])
-        m1 = proj.compose(i1)
-        m2 = proj.compose(i2)
-        for m in (m1, m2):
-            grp, _ = kernel_points(m)
-            if grp.order != 1:
-                raise ValueError("inconsistent isogeny kernels")
-        return JW1Data(label, jw1, (m1, m2), proj.degree(), eta=p.coords)
+        jw1, proj = quotient_torus(total, [TorusPoint(ENRIQUES_ETA)])
+        markings = (proj.compose(i1), proj.compose(i2))
+        if any(kernel_points(m)[0].order != 1 for m in markings):
+            raise exact.VerificationError("Enriques marking JDᵢ → JW₁ not injective")
+        return JW1Data(jw1, markings)
     if label == "ell111":
-        d = build_jw1_cover_diagram()
-        return JW1Data(label, d.jw1, (d.marking1, d.marking2, d.marking_sigma), 2)
+        c1 = TorusMorphism(jd, jd, ((2, 0), (0, 1)))  # JB → JΓ₁
+        c2 = TorusMorphism(jd, jd, ((1, 0), (0, 2)))  # JB → JΓ₂
+        m_sigma = TorusMorphism(jd, total, ((-2, 0), (0, -1), (-1, 0), (0, -2)))
+        _check_ell111(c1, c2, (i1, i2, m_sigma))
+        return JW1Data(total, (i1, i2, m_sigma))
     if label == "ell211":
         m3 = TorusMorphism(jd, total, ((-2, 0), (0, -1), (-1, 0), (0, -1)))
-        return JW1Data(label, total, (i1, i2, m3), 2)
+        return JW1Data(total, (i1, i2, m3))
     raise ValueError(f"unknown stratum label {label!r}")
+
+
+def _check_ell111(c1, c2, markings):
+    """Certify the (1,1,1) markings (ι₁, ι₂, m_σ) against the double covers
+    cᵢ: JB → JΓᵢ, with Jσ ≅ JB.
+
+    JW₁ is the cokernel of the diagonal (c₁, c₂, id): JB → JΓ₁ ⊕ JΓ₂ ⊕ Jσ.
+    The diagonal has an identity block, so it is primitive.  With ι₁, ι₂
+    the coordinate inclusions, the sum map (ι₁, ι₂, m_σ) is onto with a
+    primitive rank-2 kernel, so it is that cokernel iff it kills the
+    diagonal: ι₁c₁ + ι₂c₂ + m_σ = 0.
+    """
+    half = Fraction(1, 2)
+    for c, gen, name in ((c1, (half, 0), "JΓ₁ is not ⟨(1/2, 0)⟩"),
+                         (c2, (0, half), "JΓ₂ is not ⟨(0, 1/2)⟩")):
+        grp, gens = kernel_points(c)
+        if grp.order != 2 or gens[0].coords != gen:
+            raise exact.VerificationError(f"ker(JB → {name}")
+    i1, i2, m_sigma = markings
+    if kernel_points(m_sigma)[0].order != 1:
+        raise exact.VerificationError("marking Jσ → JW₁ not injective")
+    for m in (i1, i2):
+        if kernel_points(stack_via_sum(m, m_sigma))[0].order != 2:
+            raise exact.VerificationError("JΓᵢ ⊕ Jσ → JW₁ kernel is not of order 2")
+    relation = [
+        [a + b + s for a, b, s in zip(r1, r2, rs)]
+        for r1, r2, rs in zip(i1.compose(c1).matrix, i2.compose(c2).matrix, m_sigma.matrix)
+    ]
+    if any(any(row) for row in relation):
+        raise exact.VerificationError("ι₁c₁ + ι₂c₂ + m_σ ≠ 0: JW₁ is not the cokernel")
 
 
 def marking_pair_indices(jw1_data):
@@ -469,10 +490,8 @@ class RestrictionData:
     the Zᵢ side minus the Ỹ side, stored as one 2×rank(ambient) matrix.
     """
 
-    stratum: str
     z_points: tuple  # per curve: tuple of TorusPoint (one per εⱼ of Zᵢ)
     psi_matrices: tuple  # per curve: 2×rank(ambient) Fraction rows of ψᵢ
-    seed: int
 
 
 @lru_cache(maxsize=None)
@@ -526,17 +545,12 @@ def generate_restriction_data(model, seed):
             z_row = model.embed_z(i, [0] + [p.coords[r] for p in z_points[i]])
             rows.append(tuple(-x for x in raw[r]) + z_row[n:])
         psi_matrices.append(tuple(rows))
-    return RestrictionData(
-        stratum=model.stratum,
-        z_points=tuple(z_points),
-        psi_matrices=tuple(psi_matrices),
-        seed=seed,
-    )
+    return RestrictionData(z_points=tuple(z_points), psi_matrices=tuple(psi_matrices))
 
 
 @dataclass(frozen=True)
 class ExtensionMap:
-    """ψ: Λ → JW₁ with its per-curve components and summand block table."""
+    """ψ: Λ → JW₁ with its per-curve components."""
 
     model: GluedBoundaryModel
     lam: LambdaLattice
@@ -556,39 +570,6 @@ class ExtensionMap:
         for i, m in enumerate(self.jw1.markings):
             total = total + m.apply(self.psi_component(lam_vec, i))
         return total
-
-    def degree(self, lam_vec, i):
-        """Restriction degree of λ to curve i (equal on both sides)."""
-        v = self.lam.lift_to_ambient(lam_vec)
-        m = self.model
-        dy = m.ambient.pairing(v, m.embed_y(m.y_tilde.double_curves[i + 1]))
-        dz = m.ambient.pairing(v, m.embed_z(i, m.dp_components[i].double_curves[i + 1]))
-        if dy != dz:
-            raise exact.VerificationError("restriction degrees inconsistent")
-        return dy
-
-    def block_table(self):
-        """For each root summand s and curve i: True iff ψᵢ vanishes on
-        every root of the summand (checked on simple roots; additive)."""
-        table = []
-        for label, simples in self.lam.root_data.components:
-            row = []
-            for i in range(self.model.k):
-                zero = all(
-                    self.psi_component(list(s), i).is_zero() for s in simples
-                )
-                row.append(zero)
-            table.append((label, tuple(row)))
-        return table
-
-    def single_factor_count(self):
-        """Number of root summands whose ψ lands in exactly one JD factor."""
-        count = 0
-        for _, flags in self.block_table():
-            nonzero = [i for i, z in enumerate(flags) if not z]
-            if len(nonzero) == 1:
-                count += 1
-        return count
 
 
 def extension_map(model, lam, restriction, jw1=None):

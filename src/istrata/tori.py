@@ -106,22 +106,6 @@ class TorusMorphism:
         return abs(exact.det_bareiss([list(r) for r in self.matrix]))
 
 
-def identity_morphism(T):
-    return TorusMorphism(T, T, exact.identity_matrix(T.rank))
-
-
-def stack_morphisms(fs):
-    """(f₁, …, f_r): common source, direct-sum target."""
-    src = fs[0].source
-    if any(f.source != src for f in fs):
-        raise ValueError("stacked morphisms need a common source")
-    tgt = RationalTorus(sum(f.target.rank for f in fs))
-    rows = []
-    for f in fs:
-        rows.extend(list(r) for r in f.matrix)
-    return TorusMorphism(src, tgt, tuple(tuple(r) for r in rows))
-
-
 # ---------------------------------------------------------------------------
 # torsion, kernels, quotients
 
@@ -182,92 +166,6 @@ def quotient_torus(T, points):
     if proj.degree() != len(closure):
         raise exact.VerificationError("quotient degree differs from the subgroup order")
     return proj.target, proj
-
-
-def quotient_by_subtorus(f):
-    """Cokernel of an injective morphism f: S → T (quotient by the image
-    subtorus).  Returns the projection T → T/im(f).
-
-    Coordinates adapted via SNF: with U·M·V diagonal, the last
-    (rank T − rank S) rows of U give quotient coordinates.  Requires the
-    image subtorus to be a direct factor of the point group (all SNF
-    invariant factors 1), which holds for every diagram built here.
-    """
-    gs, gt = f.source.rank, f.target.rank
-    u, facs, _, _ = exact.smith_normal_form([list(r) for r in f.matrix])
-    if len(facs) < gs:
-        raise ValueError("morphism not injective over ℚ")
-    if any(di != 1 for di in facs):
-        raise ValueError("image is not a primitively embedded subtorus")
-    q_rows = [list(u[i]) for i in range(gs, gt)]
-    return TorusMorphism(f.target, RationalTorus(gt - gs), tuple(tuple(r) for r in q_rows))
-
-
-# ---------------------------------------------------------------------------
-# the JW₁ cover diagram of the (1,1,1) elliptic-ruled stratum
-
-
-@dataclass(frozen=True)
-class Jw1CoverDiagram:
-    jw1: RationalTorus
-    marking1: TorusMorphism  # JΓ₁ → JW₁
-    marking2: TorusMorphism  # JΓ₂ → JW₁
-    marking_sigma: TorusMorphism  # Jσ → JW₁
-
-
-def build_jw1_cover_diagram():
-    """JW₁ of the (1,1,1) elliptic-ruled surface as the cokernel of the
-    diagonal embedding JB → JΓ₁ ⊕ JΓ₂ ⊕ Jσ.
-
-    The two covers Γᵢ → B are degree 2 with pullback kernels η₁ = (1/2, 0)
-    and η₂ = (0, 1/2); the section curve σ maps isomorphically to B.  The
-    construction checks: each marking is injective, JΓ₁⊕JΓ₂ → JW₁ is an
-    isomorphism, and JΓᵢ⊕Jσ → JW₁ has kernel of order 2.
-    """
-    B = RationalTorus(2)
-    g1, g2, s = RationalTorus(2), RationalTorus(2), RationalTorus(2)
-    c1 = TorusMorphism(B, g1, ((2, 0), (0, 1)))
-    c2 = TorusMorphism(B, g2, ((1, 0), (0, 2)))
-    grp1, gens1 = kernel_points(c1)
-    grp2, gens2 = kernel_points(c2)
-    if grp1.order != 2 or gens1[0].coords != (Fraction(1, 2), Fraction(0)):
-        raise exact.VerificationError("ker(JB → JΓ₁) is not ⟨(1/2, 0)⟩")
-    if grp2.order != 2 or gens2[0].coords != (Fraction(0), Fraction(1, 2)):
-        raise exact.VerificationError("ker(JB → JΓ₂) is not ⟨(0, 1/2)⟩")
-    cs = identity_morphism(B)  # Jσ ≅ JB
-    embed = stack_morphisms([c1, c2, TorusMorphism(B, s, cs.matrix)])
-    proj = quotient_by_subtorus(embed)
-    jw1 = proj.target
-    total = RationalTorus(6)
-
-    def inclusion(offset, src):
-        m = [[0] * 2 for _ in range(6)]
-        m[offset][0] = 1
-        m[offset + 1][1] = 1
-        return TorusMorphism(src, total, tuple(tuple(r) for r in m))
-
-    raw1 = proj.compose(inclusion(0, g1))
-    raw2 = proj.compose(inclusion(2, g2))
-    raws = proj.compose(inclusion(4, s))
-    # normalize quotient coordinates so that JΓ₁⊕JΓ₂ → JW₁ is the identity
-    pair = [list(a) + list(b) for a, b in zip(raw1.matrix, raw2.matrix)]
-    norm = exact.unimodular_inverse(pair)
-    renorm = TorusMorphism(jw1, jw1, tuple(tuple(r) for r in norm))
-    m1 = renorm.compose(raw1)
-    m2 = renorm.compose(raw2)
-    ms = renorm.compose(raws)
-    for m in (m1, m2, ms):
-        grp, _ = kernel_points(m)
-        if grp.order != 1:
-            raise exact.VerificationError("marking not injective")
-    iso = [list(a) + list(b) for a, b in zip(m1.matrix, m2.matrix)]
-    if abs(exact.det_bareiss(iso)) != 1:
-        raise exact.VerificationError("JΓ₁ ⊕ JΓ₂ → JW₁ is not an isomorphism")
-    for mi in (m1, m2):
-        grp, gens = kernel_points(stack_via_sum(mi, ms))
-        if grp.order != 2:
-            raise exact.VerificationError("JΓᵢ ⊕ Jσ → JW₁ kernel is not of order 2")
-    return Jw1CoverDiagram(jw1=jw1, marking1=m1, marking2=m2, marking_sigma=ms)
 
 
 def stack_via_sum(f, g):

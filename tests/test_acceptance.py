@@ -178,10 +178,7 @@ def test_criterion_7_extension_map_structure(seed):
     """ψ kills ξ and [L], is additive, and confines the expected number of
     root summands to a single Jacobian factor, across 20 generic seeds."""
     for label, single in [("rat11", 2), ("rat21", 1)]:
-        model = build_stratum_model(label)
-        lam = compute_lambda(label)
-        psi = extension_map(model, lam, generate_restriction_data(model, seed))
-        assert psi.single_factor_count() == single
+        assert torelli.gen_fixture(label, seed)[0].single_factor_count() == single
     model = build_stratum_model("enriques")
     lam = compute_lambda("enriques")
     psi = extension_map(model, lam, generate_restriction_data(model, seed))

@@ -66,6 +66,14 @@ def _simple_root_entry_as_string(obj):
     obj["summands"][0]["simple_roots"][0][0] = "1"
 
 
+def _kernel_order_below_one(obj):
+    obj["jw1_pair_indices"][0][1] = -1
+
+
+def _pair_index_zero(obj):
+    obj["pair_pattern"][0] = 0
+
+
 class TestCli:
     def run(self, capsys, *argv):
         code = main(list(argv))
@@ -225,7 +233,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "corrupt",
-        [_flags_as_strings, _k_as_string, _simple_root_entry_as_string],
+        [
+            _flags_as_strings,
+            _k_as_string,
+            _simple_root_entry_as_string,
+            _kernel_order_below_one,
+            _pair_index_zero,
+        ],
         ids=lambda f: f.__name__.strip("_"),
     )
     def test_dataset_schema_is_strict(self, capsys, tmp_path, corrupt):
@@ -234,10 +248,11 @@ class TestCli:
         corrupt(obj)
         path = tmp_path / "ds.json"
         path.write_text(json.dumps(obj))
-        code, report, err = self.run(capsys, "classify", "--input", str(path))
-        assert code == 2
-        assert report is None
-        assert "input error" in err
+        for command in ("classify", "reconstruct"):
+            code, report, err = self.run(capsys, command, "--input", str(path))
+            assert code == 2
+            assert report is None
+            assert "input error" in err
 
     def test_dataset_version_is_input_error(self, capsys, tmp_path):
         ds, _ = torelli.gen_fixture("rat11", 1)
@@ -307,6 +322,15 @@ class TestCli:
         (["roots", "--input", "indefinite.json"], "lattice is not negative definite"),
         (["reconstruct", "--seed", "4"], {"distinguished_pair": [0, 1], "section_curve": 2}),
         (["roots", "--input", "semidefinite.json"], "lattice is not negative definite"),
+        # gen-fixture runs the JW₁ marking certificates
+        (
+            ["gen-fixture", "ell111", "--seed", "7"],
+            {"pair_pattern": [1, 2, 2], "jw1_pair_indices": [[[0, 1], 1], [[0, 2], 2], [[1, 2], 2]]},
+        ),
+        (
+            ["gen-fixture", "enriques", "--seed", "7"],
+            {"pair_pattern": [2], "jw1_pair_indices": [[[0, 1], 2]]},
+        ),
     ],
 )
 def test_cli_under_python_O(argv, expected, tmp_path):

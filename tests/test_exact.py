@@ -86,19 +86,6 @@ class TestDetInverse:
         with pytest.raises(ValueError, match="not square"):
             exact.rational_inverse([[1, 0, 0], [0, 1, 0]])
 
-    def test_unimodular_inverse_rejects_non_unimodular(self):
-        # a ValueError, not an assert, so the check also runs under python -O
-        assert exact.unimodular_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
-        with pytest.raises(ValueError):
-            exact.unimodular_inverse([[2, 0], [0, 1]])
-
-    @pytest.mark.parametrize(
-        "u", [[[2, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [1, 1]]], ids=["factor-2", "3x2"]
-    )
-    def test_unimodular_inverse_rejects_rectangular(self, u):
-        with pytest.raises(ValueError, match="not unimodular"):
-            exact.unimodular_inverse(u)
-
     def test_solve_unique(self):
         x = exact.solve_unique([[2, 0], [0, 3], [1, 1]], [4, 9, 5])
         assert x == [Fraction(2), Fraction(3)]

@@ -31,13 +31,13 @@ class TestFrames:
         # a check that must still run under python -O
         f = build_frame("ell111")
         a1, a2, _ = f.alphas
-        right = exact.unimodular_inverse([list(r) for r in f.w1_basis])
+        _, right = exact.saturation([list(c) for c in f.cycles()])
         with pytest.raises(exact.VerificationError, match="α₃"):
             _check_frame(dataclasses.replace(f, alphas=(a1, a2, a1)), right)
 
     def test_w1_without_integer_right_inverse_is_verification_error(self):
         f = build_frame("rational")
-        right = exact.unimodular_inverse([list(r) for r in f.w1_basis])
+        _, right = exact.saturation([list(c) for c in f.cycles()])
         doubled = [[2 * x for x in row] for row in right]
         with pytest.raises(exact.VerificationError, match="W1"):
             _check_frame(f, doubled)

@@ -6,6 +6,7 @@ import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import isqrt, lcm
 
@@ -14,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from istrata import exact
+from istrata import io as serial
 from istrata.cli import main
 from istrata.lattices import (
     IntegralLattice,
@@ -25,6 +27,7 @@ from istrata.lattices import (
 from istrata.normalform import apply_change, compose_changes, random_deformation
 from istrata.normalform import ChangeOfVariables, _substitute, monomial_weight
 from istrata.roots import _simple_roots, decompose_root_system, enumerate_roots
+from istrata.torelli import gen_fixture
 from istrata.tori import RationalTorus, TorusPoint, kernel_points, quotient_torus
 
 ints = st.integers(min_value=-20, max_value=20)
@@ -433,21 +436,6 @@ def test_height_ordered_simple_roots_match_pairwise_rule(labels, ops, rng):
     assert sorted(dec.label.split("+")) == sorted(labels)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=5).flatmap(
-    lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=n), elementary_ops)
-))
-def test_unimodular_inverse_is_integral_right_inverse(args):
-    n, m, ops = args
-    # the first m rows of a random unimodular n×n matrix
-    u = _elementary_unimodular(n, ops)[:m]
-    r = exact.unimodular_inverse(u)
-    assert all(type(x) is int for row in r for x in row)
-    assert exact.mat_mul(u, r) == exact.identity_matrix(m)
-    if m == n:
-        assert exact.mat_mul(r, u) == exact.identity_matrix(n)
-
-
 def _symmetric(upper, n):
     g = [[0] * n for _ in range(n)]
     it = iter(upper)
@@ -534,3 +522,96 @@ def test_roots_cli_on_hostile_grams(g):
     assert code == 0, err.getvalue()
     if n <= 3:
         assert json.loads(out.getvalue())["root_count"] == _brute_force_root_count(g)
+
+
+# ---------------------------------------------------------------------------
+# hostile datasets: `classify --input` and `reconstruct --input` must map every
+# mutation of a gen-fixture dataset to exit 0, 2 or 3, never a traceback
+
+
+@lru_cache(maxsize=None)
+def _fixture_text(label, seed):
+    return json.dumps(serial.dataset_to_json(gen_fixture(label, seed)[0]))
+
+
+def _json_paths(node, path=()):
+    """The path of every node below the root of a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+_JSON_VALUES = [None, True, 0, -1, 1.5, "1/2", "x", [], {}, [[0, 1], 1]]
+_exact_coords = st.lists(
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-30, 30), st.integers(1, 12)),
+    min_size=2, max_size=2,
+)
+
+
+def _mutate(data, obj):
+    """Apply one drawn mutation to the dataset `obj` in place."""
+    paths = list(_json_paths(obj))
+    kind = data.draw(st.sampled_from(
+        ["drop", "rename", "retype", "truncate", "flip", "point"]
+    ))
+    if kind in ("drop", "rename"):
+        path = data.draw(st.sampled_from(
+            [p for p in paths if isinstance(_at(obj, p[:-1]), dict)]
+        ))
+        parent, key = _at(obj, path[:-1]), path[-1]
+        value = parent.pop(key)
+        if kind == "rename":
+            parent[key + "_"] = value
+    elif kind == "retype":
+        path = data.draw(st.sampled_from(paths))
+        old = _at(obj, path)
+        _at(obj, path[:-1])[path[-1]] = data.draw(st.sampled_from(
+            [v for v in _JSON_VALUES if type(v) is not type(old)]
+        ))
+    elif kind == "truncate":
+        path = data.draw(st.sampled_from(
+            [p for p in paths if isinstance(_at(obj, p), list) and _at(obj, p)]
+        ))
+        node = _at(obj, path)
+        del node[data.draw(st.integers(0, len(node) - 1)):]
+    elif kind == "flip":
+        path = data.draw(st.sampled_from(
+            [p for p in paths if "zero_flags" in p and isinstance(p[-1], int)]
+        ))
+        _at(obj, path[:-1])[path[-1]] = not _at(obj, path)
+    else:
+        path = data.draw(st.sampled_from(
+            [p for p in paths if len(p) == 5 and p[2] == "psi_points"]
+        ))
+        _at(obj, path[:-1])[path[-1]] = data.draw(
+            st.one_of(_exact_coords, st.sampled_from(_JSON_VALUES))
+        )
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([("ell111", 3), ("rat21", 3), ("enriques", 0)]), st.data())
+def test_dataset_commands_on_hostile_datasets(fixture, data):
+    obj = json.loads(_fixture_text(*fixture))
+    _mutate(data, obj)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dataset.json")
+        with open(path, "w") as f:
+            json.dump(obj, f)
+        for command in ("classify", "reconstruct"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, "--input", path])
+            assert code in (0, 2, 3), err.getvalue()
+            assert (code == 0) == bool(out.getvalue())

@@ -10,8 +10,9 @@ from istrata.lattices import lattice_predicates
 from istrata.monodromy import build_frame, picard_lefschetz, weight_data
 from istrata.roots import _ade_label, enumerate_roots
 from istrata.strata import (
-    DEFAULT_ENRIQUES_ETA,
+    ENRIQUES_ETA,
     STRATUM_LABELS,
+    _check_ell111,
     beta11_weight_crosscheck,
     build_stratum_model,
     completed_E8_roots,
@@ -24,7 +25,8 @@ from istrata.strata import (
     marking_pair_indices,
     rat22_class_solve,
 )
-from istrata.tori import RationalTorus, TorusPoint, quotient_torus
+from istrata.torelli import gen_fixture
+from istrata.tori import RationalTorus, TorusMorphism, TorusPoint, quotient_torus
 
 EXPECTED_ROOTS = {
     "rat11": ("E8+E8+E8", 720, 1),
@@ -93,11 +95,15 @@ class TestLambda:
         inverses = []
         inv = exact.rational_inverse
         monkeypatch.setattr(exact, "rational_inverse", lambda a: inverses.append(a) or inv(a))
-        quotient_torus(RationalTorus(4), [TorusPoint(DEFAULT_ENRIQUES_ETA)])
+        quotient_torus(RationalTorus(4), [TorusPoint(ENRIQUES_ETA)])
         assert len(calls) == 1 and not inverses
         calls.clear()
         weight_data(picard_lefschetz(frame, 1))
         assert len(calls) == 2
+        model = build_stratum_model("ell111")
+        calls.clear()
+        compute_JW1(model)
+        assert len(calls) == 5
 
     def test_predicates_all_strata(self):
         for label in STRATUM_LABELS:
@@ -170,12 +176,8 @@ class TestLozenge:
 
 class TestJW1:
     def test_degrees(self):
-        for label, deg in [
-            ("rat11", 1), ("rat21", 1), ("rat22", 1),
-            ("enriques", 2), ("ell111", 2), ("ell211", 2),
-        ]:
+        for label in STRATUM_LABELS:
             jw = compute_JW1(build_stratum_model(label))
-            assert jw.projection_degree == deg
             assert jw.torus.rank == 4
 
     def test_marking_patterns(self):
@@ -186,19 +188,17 @@ class TestJW1:
             jw = compute_JW1(build_stratum_model(label))
             assert sorted(order for _, order in marking_pair_indices(jw)) == pattern
 
-    def test_enriques_eta_parameterized(self):
-        m = build_stratum_model("enriques")
-        jw = compute_JW1(m, eta=(Fraction(1, 2), Fraction(1, 2), 0, Fraction(1, 2)))
-        assert jw.projection_degree == 2
-        assert sorted(order for _, order in marking_pair_indices(jw)) == [2]
-
-    def test_enriques_bad_eta_rejected(self):
-        m = build_stratum_model("enriques")
-        with pytest.raises(ValueError):
-            compute_JW1(m, eta=(Fraction(1, 3), 0, 0, 0))
-        with pytest.raises(ValueError):
-            # zero image in the second factor: markings would not inject
-            compute_JW1(m, eta=(Fraction(1, 2), 0, 0, 0))
+    def test_ell111_cokernel_certificate(self):
+        # m_σ = +(c₁ ⊕ c₂) passes every kernel check; only ι₁c₁ + ι₂c₂ + m_σ = 0
+        # tells it apart from the true cokernel marking −(c₁ ⊕ c₂)
+        jd, jw = RationalTorus(2), RationalTorus(4)
+        c1 = TorusMorphism(jd, jd, ((2, 0), (0, 1)))
+        c2 = TorusMorphism(jd, jd, ((1, 0), (0, 2)))
+        i1, i2, m_sigma = compute_JW1(build_stratum_model("ell111")).markings
+        _check_ell111(c1, c2, (i1, i2, m_sigma))
+        plus = TorusMorphism(jd, jw, ((2, 0), (0, 1), (1, 0), (0, 2)))
+        with pytest.raises(exact.VerificationError, match="cokernel"):
+            _check_ell111(c1, c2, (i1, i2, plus))
 
 
 class TestExtensionMap:
@@ -225,26 +225,25 @@ class TestExtensionMap:
             assert psi.psi(s) == psi.psi(a) + psi.psi(b)
 
     def test_degree_consistency(self):
+        # λ ⟂ ξᵢ, so its restriction degree to curve i is the same on Ỹ and Zᵢ
         m = build_stratum_model("rat21")
         lam = compute_lambda("rat21")
-        psi = extension_map(m, lam, generate_restriction_data(m, 7))
         rng = random.Random(23)
-        for _ in range(5):
-            v = [rng.randint(-2, 2) for _ in range(24)]
+        vectors = [[rng.randint(-2, 2) for _ in range(24)] for _ in range(5)]
+        vectors += [list(s) for _, simples in lam.root_data.components for s in simples]
+        for v in vectors:
+            amb = lam.lift_to_ambient(v)
             for i in range(m.k):
-                psi.degree(v, i)  # asserts the Ỹ and Zᵢ sides agree
-        for _, simples in lam.root_data.components:
-            for s in simples:
-                for i in range(m.k):
-                    psi.degree(list(s), i)
+                dy = m.ambient.pairing(amb, m.embed_y(m.y_tilde.double_curves[i + 1]))
+                dz = m.ambient.pairing(
+                    amb, m.embed_z(i, m.dp_components[i].double_curves[i + 1])
+                )
+                assert dy == dz
 
     @pytest.mark.parametrize("seed", range(20))
     def test_single_factor_counts(self, seed):
         for label, expected in [("rat11", 2), ("rat21", 1)]:
-            m = build_stratum_model(label)
-            lam = compute_lambda(label)
-            psi = extension_map(m, lam, generate_restriction_data(m, seed))
-            assert psi.single_factor_count() == expected
+            assert gen_fixture(label, seed)[0].single_factor_count() == expected
 
     def test_seed_determinism(self):
         m = build_stratum_model("enriques")

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from istrata.exact import identity_matrix
+from istrata.strata import build_stratum_model, compute_JW1
 from istrata.tori import (
     RationalTorus,
     TorusMorphism,
     TorusPoint,
-    build_jw1_cover_diagram,
-    identity_morphism,
     kernel_points,
     n_torsion,
     quotient_torus,
@@ -66,7 +66,8 @@ class TestKernel:
         assert gens[0].coords == (Fraction(1, 2), Fraction(0))
 
     def test_identity_trivial(self):
-        grp, gens = kernel_points(identity_morphism(RationalTorus(3)))
+        T = RationalTorus(3)
+        grp, gens = kernel_points(TorusMorphism(T, T, identity_matrix(3)))
         assert grp.order == 1 and gens == []
 
     def test_order_equals_index(self):
@@ -113,28 +114,30 @@ class TestQuotient:
         assert gens[0].coords in {eta.coords}
 
 
+def _ell111_jw1():
+    return compute_JW1(build_stratum_model("ell111"))
+
+
 class TestJw1Diagram:
     def test_builds_with_all_assertions(self):
-        d = build_jw1_cover_diagram()
-        assert d.jw1.rank == 4
+        assert _ell111_jw1().torus.rank == 4
 
     def test_pair_isomorphism(self):
-        d = build_jw1_cover_diagram()
-        f = stack_via_sum(d.marking1, d.marking2)
-        assert f.degree() == 1
+        m1, m2, _ = _ell111_jw1().markings
+        assert stack_via_sum(m1, m2).degree() == 1
 
     def test_sigma_pair_kernel_order_two(self):
-        d = build_jw1_cover_diagram()
-        for m in (d.marking1, d.marking2):
-            grp, gens = kernel_points(stack_via_sum(m, d.marking_sigma))
+        m1, m2, ms = _ell111_jw1().markings
+        for m in (m1, m2):
+            grp, gens = kernel_points(stack_via_sum(m, ms))
             assert grp.order == 2
             (gen,) = gens
             assert gen.scale(2).is_zero()
 
     def test_swap_symmetry(self):
         # the Γ₁ ↔ Γ₂ relabeling produces the same index pattern
-        d = build_jw1_cover_diagram()
-        k12 = kernel_points(stack_via_sum(d.marking1, d.marking2))[0].order
-        k1s = kernel_points(stack_via_sum(d.marking1, d.marking_sigma))[0].order
-        k2s = kernel_points(stack_via_sum(d.marking2, d.marking_sigma))[0].order
+        m1, m2, ms = _ell111_jw1().markings
+        k12 = kernel_points(stack_via_sum(m1, m2))[0].order
+        k1s = kernel_points(stack_via_sum(m1, ms))[0].order
+        k2s = kernel_points(stack_via_sum(m2, ms))[0].order
         assert sorted([k12, k1s, k2s]) == [1, 2, 2]
