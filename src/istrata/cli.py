@@ -212,7 +212,7 @@ def main(argv=None):
     except json.JSONDecodeError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (OSError, KeyError, serial.InputError) as exc:
+    except (OSError, serial.InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:

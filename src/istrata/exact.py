@@ -292,7 +292,7 @@ def solve_unique(a, b):
 
 
 # ---------------------------------------------------------------------------
-# kernels and saturation
+# kernels
 
 
 def integer_kernel(a):
@@ -300,19 +300,6 @@ def integer_kernel(a):
     the columns of V past the rank."""
     _, facs, v, _ = smith_normal_form(a)
     return transpose(v)[len(facs):]
-
-
-def saturation(rows):
-    """(B, R): rows B a basis of the saturation of the integer row span of
-    `rows` in ℤⁿ, and R an integer right inverse of B (B·R = I).
-
-    rows = U⁻¹·D·W spans dᵢ·W[i] for i < r; W = V⁻¹ is unimodular, so its
-    first r rows are a basis of the saturation, and the first r columns of
-    V are a right inverse.
-    """
-    _, facs, v, w = smith_normal_form(rows)
-    r = len(facs)
-    return w[:r], [row[:r] for row in v]
 
 
 # ---------------------------------------------------------------------------

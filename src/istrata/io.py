@@ -32,7 +32,7 @@ def fraction_from_str(s):
     """A JSON integer, or a "p" or "p/q" string with q ≠ 0, as a Fraction."""
     if type(s) is int:
         return Fraction(s)
-    if isinstance(s, str) and re.fullmatch(r"-?\d+(/0*[1-9]\d*)?", s):
+    if isinstance(s, str) and re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", s):
         return Fraction(s)
     raise InputError(f"not an exact rational: {s!r}")
 
@@ -46,7 +46,12 @@ def _is_ints(obj, n=None):
     )
 
 
+_LATTICE_KEYS = {"rank", "gram"}
+
+
 def lattice_from_json(obj):
+    if obj.keys() != _LATTICE_KEYS:
+        raise InputError(f"a lattice must have exactly the keys {sorted(_LATTICE_KEYS)}")
     gram = obj["gram"]
     if not isinstance(gram, list) or not all(_is_ints(row) for row in gram):
         raise InputError("Gram matrix must be a list of rows of JSON integers")
@@ -77,7 +82,7 @@ def polynomial_to_json(poly):
 def polynomial_from_json(obj):
     d = {}
     for key, val in obj.items():
-        if not re.fullmatch(r"\d+(,\d+){3}", key):
+        if not re.fullmatch(r"(0|[1-9][0-9]*)(,(0|[1-9][0-9]*)){3}", key):
             raise InputError(f"bad exponent key {key!r}")
         d[tuple(int(e) for e in key.split(","))] = fraction_from_str(val)
     try:
@@ -189,10 +194,17 @@ def dumps(obj):
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+def _unique_keys(pairs):
+    if len({key for key, _ in pairs}) != len(pairs):
+        raise InputError("a JSON object repeats a key")
+    return dict(pairs)
+
+
 def load_path(path):
-    """The JSON object stored at path; any other top-level value is rejected."""
+    """The JSON object stored at path; any other top-level value, or an
+    object that repeats a key, is rejected."""
     with open(path) as fh:
-        obj = json.load(fh)
+        obj = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(obj, dict):
         raise InputError("top-level JSON value must be an object")
     return obj

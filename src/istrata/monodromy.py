@@ -31,13 +31,16 @@ def _comb(*terms):
     return tuple(v)
 
 
+# W₁ = (ℚ-span of the cycles) ∩ ℤ⁸ is e₁..e₄ in every frame (_check_frame)
+W1_BASIS = tuple(_comb((1, i)) for i in range(4))
+
+
 @dataclass(frozen=True)
 class MonodromyFrame:
     label: str
     ambient: IntegralLattice
     alphas: tuple  # α̃₁..α̃_k
     betas: tuple  # β̃₁..β̃_k
-    w1_basis: tuple  # basis of the saturated span of all cycles
     duals: tuple  # rational duals (α̃₁*, β̃₁*, α̃₂*, β̃₂*)
 
     @property
@@ -93,19 +96,14 @@ def build_frame(label):
         raise ValueError(f"unknown frame label {label!r}")
     alphas, betas = _FRAME_CYCLES[kind]
     ambient = IntegralLattice(_u4_gram())
-    cycles = []
-    for a, b in zip(alphas, betas):
-        cycles.extend([list(a), list(b)])
-    w1, right = exact.saturation(cycles)
     frame = MonodromyFrame(
         label=kind,
         ambient=ambient,
         alphas=tuple(alphas),
         betas=tuple(betas),
-        w1_basis=tuple(tuple(r) for r in w1),
         duals=_duals(ambient, alphas, betas),
     )
-    _check_frame(frame, right)
+    _check_frame(frame)
     return frame
 
 
@@ -122,18 +120,21 @@ def _duals(ambient, alphas, betas):
     return tuple(zero + col for col in zip(*cinv))
 
 
-def _check_frame(frame, right):
-    """Certify the cycles isotropic and W₁ primitive of rank 4: `right`, from
-    the saturation, is an integer right inverse of its basis."""
+def _check_frame(frame):
+    """Certify W₁ = ⟨e₁..e₄⟩, isotropic, as the saturated span of the cycles.
+
+    Every cycle has zero f-coordinates, so it lies in the coordinate (hence
+    primitive) sublattice W1_BASIS spans; the e-block of (α̃₁, β̃₁, α̃₂, β̃₂)
+    is invertible, so those four span it over ℚ.
+    """
     g = frame.ambient.gram_lists()
-    cycles = frame.cycles()
-    for a in cycles:
-        for b in cycles:
-            if exact.dot_gram(list(a), g, list(b)) != 0:
-                raise exact.VerificationError("cycle span is not isotropic")
-    w1 = [list(r) for r in frame.w1_basis]
-    if len(w1) != 4 or exact.mat_mul(w1, right) != exact.identity_matrix(4):
-        raise exact.VerificationError("W1 is not a primitive rank-4 sublattice")
+    if any(exact.dot_gram(list(a), g, list(b)) for a in W1_BASIS for b in W1_BASIS):
+        raise exact.VerificationError("W1 is not isotropic")
+    if any(any(c[4:]) for c in frame.cycles()):
+        raise exact.VerificationError("a cycle has a nonzero f-part: it is not in W1")
+    four = [frame.alphas[0], frame.betas[0], frame.alphas[1], frame.betas[1]]
+    if exact.det_bareiss([list(v[:4]) for v in four]) == 0:
+        raise exact.VerificationError("α̃₁, β̃₁, α̃₂, β̃₂ do not span W1 over ℚ")
     if frame.label == "ell111":
         a1, a2, a3 = frame.alphas
         b1, b2, b3 = frame.betas

@@ -35,7 +35,6 @@ from .tori import (
     TorusMorphism,
     TorusPoint,
     kernel_points,
-    quotient_torus,
     stack_via_sum,
 )
 
@@ -402,44 +401,55 @@ class JW1Data:
 
 ENRIQUES_ETA = (Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(0))
 
+_I1 = ((1, 0), (0, 1), (0, 0), (0, 0))
+_I2 = ((0, 0), (0, 0), (1, 0), (0, 1))
+# matrices of the markings JDᵢ → JW₁, one per double curve
+_MARKINGS = {
+    "rat11": (_I1, _I2),
+    "rat21": (_I1, _I2),
+    "rat22": (_I1, _I2),
+    "enriques": (((2, 0), (0, 1), (-1, 0), (0, 0)), _I2),
+    "ell111": (_I1, _I2, ((-2, 0), (0, -1), (-1, 0), (0, -2))),
+    "ell211": (_I1, _I2, ((-2, 0), (0, -1), (-1, 0), (0, -1))),
+}
+
 
 def compute_JW1(model):
     """JW₁ with the inclusion morphisms of the double-curve Jacobians.
 
-    rational strata: JW₁ = JD₁ ⊕ JD₂.  Enriques: the ⟨η⟩-quotient of
-    JD₁ ⊕ JD₂ for the 2-torsion η = ENRIQUES_ETA, nonzero in both factors.
-    ell111: JΓ₁ ⊕ JΓ₂ with the section marking −(c₁ ⊕ c₂) for the covers
-    cᵢ: JB → JΓᵢ.  ell211: JΓ ⊕ JB with two JB markings differing by the
-    pullback isogeny.
+    The markings are closed-form matrices.  rational strata: JW₁ = JD₁ ⊕ JD₂
+    with the coordinate inclusions.  Enriques: JW₁ = (JD₁ ⊕ JD₂)/⟨η⟩ for the
+    2-torsion η = ENRIQUES_ETA, nonzero in both factors; `_check_enriques`
+    certifies that the sum map of the two markings has kernel ⟨η⟩.  ell111:
+    JΓ₁ ⊕ JΓ₂ with the section marking −(c₁ ⊕ c₂) for the covers
+    cᵢ: JB → JΓᵢ, certified by `_check_ell111`.  ell211: JΓ ⊕ JB with two
+    JB markings differing by the pullback isogeny.
     """
     label = model.stratum
-    jd = RationalTorus(2)
-    total = RationalTorus(4)  # JD₁ ⊕ JD₂
-    i1 = TorusMorphism(jd, total, ((1, 0), (0, 1), (0, 0), (0, 0)))
-    i2 = TorusMorphism(jd, total, ((0, 0), (0, 0), (1, 0), (0, 1)))
-    if label in ("rat11", "rat21", "rat22"):
-        return JW1Data(total, (i1, i2))
+    jd, jw1 = RationalTorus(2), RationalTorus(4)
+    markings = tuple(TorusMorphism(jd, jw1, m) for m in _MARKINGS[label])
     if label == "enriques":
-        jw1, proj = quotient_torus(total, [TorusPoint(ENRIQUES_ETA)])
-        markings = (proj.compose(i1), proj.compose(i2))
-        if any(kernel_points(m)[0].order != 1 for m in markings):
-            raise exact.VerificationError("Enriques marking JDᵢ → JW₁ not injective")
-        return JW1Data(jw1, markings)
-    if label == "ell111":
-        c1 = TorusMorphism(jd, jd, ((2, 0), (0, 1)))  # JB → JΓ₁
-        c2 = TorusMorphism(jd, jd, ((1, 0), (0, 2)))  # JB → JΓ₂
-        m_sigma = TorusMorphism(jd, total, ((-2, 0), (0, -1), (-1, 0), (0, -2)))
-        _check_ell111(c1, c2, (i1, i2, m_sigma))
-        return JW1Data(total, (i1, i2, m_sigma))
-    if label == "ell211":
-        m3 = TorusMorphism(jd, total, ((-2, 0), (0, -1), (-1, 0), (0, -1)))
-        return JW1Data(total, (i1, i2, m3))
-    raise ValueError(f"unknown stratum label {label!r}")
+        _check_enriques(markings)
+    elif label == "ell111":
+        _check_ell111(markings)
+    return JW1Data(jw1, markings)
 
 
-def _check_ell111(c1, c2, markings):
+def _check_enriques(markings):
+    """Certify the Enriques markings (ι₁, ι₂): each is injective, and the sum
+    map JD₁ ⊕ JD₂ → JW₁, of equal rank, has kernel ⟨η⟩, η = ENRIQUES_ETA.
+    So it is the projection onto (JD₁ ⊕ JD₂)/⟨η⟩, and ιᵢ its restrictions.
+    """
+    if any(kernel_points(m)[0].order != 1 for m in markings):
+        raise exact.VerificationError("Enriques marking JDᵢ → JW₁ not injective")
+    grp, gens = kernel_points(stack_via_sum(*markings))
+    if grp.order != 2 or gens[0].coords != ENRIQUES_ETA:
+        raise exact.VerificationError("JD₁ ⊕ JD₂ → JW₁ kernel is not ⟨η⟩")
+
+
+def _check_ell111(markings):
     """Certify the (1,1,1) markings (ι₁, ι₂, m_σ) against the double covers
-    cᵢ: JB → JΓᵢ, with Jσ ≅ JB.
+    c₁ = diag(2, 1), c₂ = diag(1, 2): JB → JΓᵢ, with Jσ ≅ JB.
 
     JW₁ is the cokernel of the diagonal (c₁, c₂, id): JB → JΓ₁ ⊕ JΓ₂ ⊕ Jσ.
     The diagonal has an identity block, so it is primitive.  With ι₁, ι₂
@@ -447,6 +457,9 @@ def _check_ell111(c1, c2, markings):
     primitive rank-2 kernel, so it is that cokernel iff it kills the
     diagonal: ι₁c₁ + ι₂c₂ + m_σ = 0.
     """
+    jd = RationalTorus(2)
+    c1 = TorusMorphism(jd, jd, ((2, 0), (0, 1)))  # JB → JΓ₁
+    c2 = TorusMorphism(jd, jd, ((1, 0), (0, 2)))  # JB → JΓ₂
     half = Fraction(1, 2)
     for c, gen, name in ((c1, (half, 0), "JΓ₁ is not ⟨(1/2, 0)⟩"),
                          (c2, (0, half), "JΓ₂ is not ⟨(0, 1/2)⟩")):

@@ -4,6 +4,9 @@ A torus of rank g is ℝ^g/ℤ^g; its rational points are tuples of Fractions
 reduced into [0, 1).  Morphisms are integer matrices in the column
 convention (x ↦ M·x).  A pullback isogeny along a degree-d cover is stored
 as its matrix; the Jacobian functor's contravariance is bookkeeping only.
+A quotient by a finite subgroup F is written as its projection matrix and
+certified by `kernel_points` returning F, as `strata.compute_JW1` does for
+the Enriques JW₁.
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ class TorusMorphism:
 
 
 # ---------------------------------------------------------------------------
-# torsion, kernels, quotients
+# torsion, kernels, sum maps
 
 
 def n_torsion(T, n):
@@ -133,39 +136,6 @@ def kernel_points(f):
         for i, di in enumerate(facs) if di > 1
     ]
     return FiniteAbelianGroup(tuple(facs)), gens
-
-
-def _check_subgroup(T, points):
-    pts = {p.coords for p in points}
-    pts.add(T.zero().coords)
-    for a in points:
-        for b in points:
-            if (a + b).coords not in pts:
-                raise ValueError("finite set is not closed under addition")
-    return [TorusPoint(c) for c in sorted(pts)]
-
-
-def quotient_torus(T, points):
-    """Quotient by a finite subgroup; returns (torus, projection).
-
-    The quotient is ℝ^g/L for L = ℤ^g + lifts; rewriting in a basis of L
-    identifies it with a standard torus, and the projection matrix is the
-    basis-change (integral because ℤ^g ⊆ L), of degree |F|.  The rows span
-    denom·L; with P·rows·V = D, its basis dᵢ·W[i] gives the projection
-    denom·D⁻¹·Vᵀ: row i is (denom / dᵢ) times column i of V.
-    """
-    closure = _check_subgroup(T, points)
-    g = T.rank
-    denom = lcm(*(c.denominator for p in closure for c in p.coords))
-    rows = [[denom if i == j else 0 for j in range(g)] for i in range(g)]
-    for p in closure:
-        rows.append([int(c * denom) for c in p.coords])
-    _, facs, v, _ = exact.smith_normal_form(rows)
-    matrix = [[denom // d * x for x in col] for d, col in zip(facs, zip(*v))]
-    proj = TorusMorphism(T, RationalTorus(g), matrix)
-    if proj.degree() != len(closure):
-        raise exact.VerificationError("quotient degree differs from the subgroup order")
-    return proj.target, proj
 
 
 def stack_via_sum(f, g):

@@ -219,7 +219,13 @@ class TestCli:
         assert "input error" in err
 
     @pytest.mark.parametrize(
-        "key, value", [("0,0,3,0", "0.5"), ("0,3,0", "1"), ("1,0,0,0", "1")]
+        "key, value",
+        [
+            ("0,0,3,0", "0.5"), ("0,3,0", "1"), ("1,0,0,0", "1"),
+            # each of these keys would name y² and overwrite its coefficient -1
+            ("00,2,0,0", "5"), ("0,02,0,0", "5"), ("0,\u0662,0,0", "5"),
+            ("3,0,0,0", "\u0665"),  # a non-ASCII digit as a value
+        ],
     )
     def test_malformed_polynomial_is_input_error(self, capsys, tmp_path, key, value):
         obj = serial.polynomial_to_json(normalform.random_deformation(9))
@@ -230,6 +236,36 @@ class TestCli:
         assert code == 2
         assert report is None
         assert "input error" in err
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("roots", '{"rank": 1, "gram": [[2]], "gram": [[-2]]}'),
+            ("normal-form", '{"3,0,0,0": "1", "0,2,0,0": "-1", "0,2,0,0": "5"}'),
+        ],
+        ids=["lattice", "polynomial"],
+    )
+    def test_repeated_key_is_input_error(self, capsys, tmp_path, command, text):
+        # json.load would keep the last value and drop the first unseen
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code, report, err = self.run(capsys, command, "--input", str(path))
+        assert code == 2
+        assert report is None
+        assert "repeats a key" in err
+
+    @pytest.mark.parametrize(
+        "lattice",
+        [{"rank": 1, "gram": [[-2]], "x": 1}, {"gram": [[-2]]}, {"rank": 1}],
+        ids=["extra", "no-rank", "no-gram"],
+    )
+    def test_lattice_keys_are_exact(self, capsys, tmp_path, lattice):
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps(lattice))
+        code, report, err = self.run(capsys, "roots", "--input", str(path))
+        assert code == 2
+        assert report is None
+        assert "exactly the keys ['gram', 'rank']" in err
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -331,6 +367,8 @@ class TestCli:
             ["gen-fixture", "enriques", "--seed", "7"],
             {"pair_pattern": [2], "jw1_pair_indices": [[[0, 1], 2]]},
         ),
+        # build_frame runs the W₁ certificate
+        (["monodromy", "enriques"], {"pair_index_pattern": [2], "primitive": True}),
     ],
 )
 def test_cli_under_python_O(argv, expected, tmp_path):
@@ -352,6 +390,21 @@ def test_cli_under_python_O(argv, expected, tmp_path):
     report = json.loads(proc.stdout)
     for key, value in expected.items():
         assert report[key] == value
+
+
+def test_bad_polynomial_under_python_O(tmp_path):
+    """The polynomial loader's checks are not asserts: `python -O` still
+    rejects a non-canonical exponent key with exit 2."""
+    obj = serial.polynomial_to_json(normalform.random_deformation(9))
+    obj["00,2,0,0"] = "5"
+    (tmp_path / "poly.json").write_text(json.dumps(obj))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "istrata.cli", "normal-form", "--input", "poly.json"],
+        env=env, capture_output=True, text=True, timeout=600, cwd=tmp_path,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("input error: bad exponent key")
 
 
 # sha256 of stdout and the exit code of each report; a change to the exact

@@ -107,11 +107,6 @@ class TestKernels:
         k = exact.integer_kernel([[1, 2, 3]])
         assert len(k) == 2
 
-    def test_saturation(self):
-        sat, right = exact.saturation([[2, 0], [0, 2]])
-        assert abs(exact.det_bareiss(sat)) == 1
-        assert exact.mat_mul(sat, right) == exact.identity_matrix(2)
-
     def test_sublattice_index(self):
         rows = exact.identity_matrix(3)
         sub = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]

@@ -5,6 +5,7 @@ import pytest
 
 from istrata import exact
 from istrata.monodromy import (
+    W1_BASIS,
     _check_frame,
     build_frame,
     operator_sum,
@@ -25,22 +26,29 @@ class TestFrames:
     def test_all_frames_build(self):
         for kind in FRAME_KINDS:
             f = build_frame(kind)
-            assert len(f.w1_basis) == 4
+            assert all(not any(c[4:]) for c in f.cycles())
 
     def test_broken_ell111_relation_is_verification_error(self):
         # a check that must still run under python -O
         f = build_frame("ell111")
         a1, a2, _ = f.alphas
-        _, right = exact.saturation([list(c) for c in f.cycles()])
         with pytest.raises(exact.VerificationError, match="α₃"):
-            _check_frame(dataclasses.replace(f, alphas=(a1, a2, a1)), right)
+            _check_frame(dataclasses.replace(f, alphas=(a1, a2, a1)))
 
-    def test_w1_without_integer_right_inverse_is_verification_error(self):
+    def test_cycle_with_f_part_is_verification_error(self):
         f = build_frame("rational")
-        _, right = exact.saturation([list(c) for c in f.cycles()])
-        doubled = [[2 * x for x in row] for row in right]
-        with pytest.raises(exact.VerificationError, match="W1"):
-            _check_frame(f, doubled)
+        a1, a2 = f.alphas
+        off = a2[:5] + (1,) + a2[6:]  # α̃₂ + f₂
+        with pytest.raises(exact.VerificationError, match="f-part"):
+            _check_frame(dataclasses.replace(f, alphas=(a1, off)))
+
+    def test_singular_e_block_is_verification_error(self):
+        # β̃₂ = α̃₁ + β̃₁ still lies in W1 but no longer spans it with the others
+        f = build_frame("rational")
+        b1, _ = f.betas
+        b2 = tuple(x + y for x, y in zip(f.alphas[0], b1))
+        with pytest.raises(exact.VerificationError, match="span W1"):
+            _check_frame(dataclasses.replace(f, betas=(b1, b2)))
 
     def test_stratum_aliases(self):
         assert build_frame("rat11").label == "rational"
@@ -54,8 +62,8 @@ class TestFrames:
     def test_w1_isotropic(self):
         for kind in FRAME_KINDS:
             f = build_frame(kind)
-            for a in f.w1_basis:
-                for b in f.w1_basis:
+            for a in W1_BASIS:
+                for b in W1_BASIS:
                     assert f.ambient.pairing(a, b) == 0
 
     def test_duals_pair_correctly(self):
@@ -115,13 +123,10 @@ class TestOperators:
     def test_image_is_primitive_rank2_in_w1(self):
         for kind in FRAME_KINDS:
             f = build_frame(kind)
-            w1 = [list(r) for r in f.w1_basis]
+            w1 = [list(r) for r in W1_BASIS]
             for i in range(1, f.k + 1):
                 span = [list(f.alphas[i - 1]), list(f.betas[i - 1])]
-                assert len(exact.pivot_columns(span)) == 2
-                sat, _ = exact.saturation(span)
-                for v in sat:
-                    assert exact.in_row_span(span, v)
+                assert exact.invariant_factors(span) == [1, 1]
                 for v in span:
                     assert exact.in_row_span(w1, v)
 
@@ -230,7 +235,6 @@ class TestPattern:
                 ambient=IntegralLattice(_u4_gram()),
                 alphas=tuple(f.alphas[i] for i in perm),
                 betas=tuple(f.betas[i] for i in perm),
-                w1_basis=f.w1_basis,
                 duals=f.duals,
             )
             assert pair_index_pattern(g) == base

@@ -28,7 +28,7 @@ from istrata.normalform import apply_change, compose_changes, random_deformation
 from istrata.normalform import ChangeOfVariables, _substitute, monomial_weight
 from istrata.roots import _simple_roots, decompose_root_system, enumerate_roots
 from istrata.torelli import gen_fixture
-from istrata.tori import RationalTorus, TorusPoint, kernel_points, quotient_torus
+from istrata.tori import RationalTorus, TorusMorphism, TorusPoint, kernel_points
 
 ints = st.integers(min_value=-20, max_value=20)
 
@@ -131,15 +131,22 @@ def test_torus_order_annihilates(p):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=12), st.lists(ints, min_size=2, max_size=2))
-def test_quotient_torus_by_cyclic_subgroup(n, nums):
-    p = TorusPoint(tuple(Fraction(a, n) for a in nums))
-    order = p.order()
-    _, proj = quotient_torus(RationalTorus(2), [p.scale(k) for k in range(1, order)])
-    assert all(type(x) is int for row in proj.matrix for x in row)
-    assert proj.degree() == order
-    assert kernel_points(proj)[0].order == order
-    assert proj.apply(p).is_zero()
+@given(square_matrix(2))
+def test_isogeny_kernel_has_order_degree(m):
+    # a quotient by a finite subgroup is written as its projection M, so the
+    # kernel kernel_points returns must be all |det M| points that M kills
+    T = RationalTorus(2)
+    f = TorusMorphism(T, T, m)
+    assume(f.degree() != 0)
+    grp, gens = kernel_points(f)
+    assert grp.order == f.degree()
+    assert [g.order() for g in gens] == list(grp.invariant_factors)
+    span = {
+        sum((g.scale(c) for g, c in zip(gens, cs)), T.zero())
+        for cs in product(*(range(d) for d in grp.invariant_factors))
+    }
+    assert len(span) == grp.order
+    assert all(f.apply(p).is_zero() for p in span)
 
 
 small_fracs = st.fractions(
@@ -615,3 +622,63 @@ def test_dataset_commands_on_hostile_datasets(fixture, data):
                 code = main([command, "--input", path])
             assert code in (0, 2, 3), err.getvalue()
             assert (code == 0) == bool(out.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# hostile polynomials: `normal-form --input` must map every mutation of a
+# polynomial_to_json document to exit 0, 2 or 3, never 1 or a traceback
+
+
+@lru_cache(maxsize=None)
+def _polynomial_text(seed):
+    return json.dumps(serial.polynomial_to_json(random_deformation(seed)))
+
+
+_bad_keys = st.one_of(
+    st.sampled_from(["", "0,2,0", "0,2,0,0,0", "0,-2,0,0", "0, 2,0,0", "a,b,c,d"]),
+    # a weight-6 monomial written with a leading zero or a non-ASCII digit
+    st.sampled_from(["00,2,0,0", "3,0,0,00", "0,0,06,0", "0,٢,0,0"]),
+    st.text(alphabet="0123456789,-+. ", max_size=12),
+)
+
+
+def _canonical_weight6(key):
+    parts = key.split(",")
+    return (
+        len(parts) == 4
+        and all(p.isascii() and p.isdigit() and str(int(p)) == p for p in parts)
+        and monomial_weight(tuple(map(int, parts))) == 6
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.data())
+def test_normal_form_on_hostile_polynomials(seed, data):
+    obj = json.loads(_polynomial_text(seed))
+    kind = data.draw(st.sampled_from(["drop", "key", "weight", "value", "zero"]))
+    # a dropped or zeroed monomial leaves a valid document; the rest is bad input
+    allowed = (0, 3) if kind in ("drop", "zero") else (2,)
+    if kind == "drop":
+        del obj[data.draw(st.sampled_from(sorted(obj)))]
+    elif kind == "key":
+        key = data.draw(_bad_keys)
+        assume(not _canonical_weight6(key))
+        obj[key] = data.draw(st.sampled_from(["1", "-1/2", "5"]))
+    elif kind == "weight":
+        exp = data.draw(st.lists(st.integers(0, 7), min_size=4, max_size=4))
+        assume(monomial_weight(exp) != 6)
+        obj[",".join(map(str, exp))] = "1"
+    else:
+        value = "0" if kind == "zero" else data.draw(
+            st.sampled_from(["0.5", True, False, 1.5, None, "1/0", "x", [1]])
+        )
+        obj[data.draw(st.sampled_from(sorted(obj)))] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "poly.json")
+        with open(path, "w") as f:
+            json.dump(obj, f)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["normal-form", "--input", path])
+    assert code in allowed, err.getvalue()
+    assert (code == 0) == bool(out.getvalue())

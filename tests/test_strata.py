@@ -10,8 +10,8 @@ from istrata.lattices import lattice_predicates
 from istrata.monodromy import build_frame, picard_lefschetz, weight_data
 from istrata.roots import _ade_label, enumerate_roots
 from istrata.strata import (
-    ENRIQUES_ETA,
     STRATUM_LABELS,
+    _check_enriques,
     _check_ell111,
     beta11_weight_crosscheck,
     build_stratum_model,
@@ -26,7 +26,7 @@ from istrata.strata import (
     rat22_class_solve,
 )
 from istrata.torelli import gen_fixture
-from istrata.tori import RationalTorus, TorusMorphism, TorusPoint, quotient_torus
+from istrata.tori import RationalTorus, TorusMorphism
 
 EXPECTED_ROOTS = {
     "rat11": ("E8+E8+E8", 720, 1),
@@ -80,9 +80,10 @@ class TestModels:
 class TestLambda:
     def test_one_smith_form_per_matrix(self, monkeypatch):
         # a cold Λ: ξ primitivity, complement, isotropic quotient, root index;
-        # a frame: W1 saturation (its right inverse certifies W1), the duals;
-        # the Enriques torus quotient: one, and no rational inverse;
-        # weight data: the image and the kernel
+        # a frame: the duals only (W1 is e₁..e₄, certified without one);
+        # weight data: the image and the kernel;
+        # the Enriques JW1: two marking kernels and the sum-map kernel;
+        # the ell111 JW1: two cover kernels, m_σ and two pair kernels
         calls = []
         snf = exact.smith_normal_form
         monkeypatch.setattr(exact, "smith_normal_form", lambda a: calls.append(a) or snf(a))
@@ -90,20 +91,15 @@ class TestLambda:
         assert len(calls) == 4
         calls.clear()
         frame = build_frame("rat21")
-        assert len(calls) == 2
-        calls.clear()
-        inverses = []
-        inv = exact.rational_inverse
-        monkeypatch.setattr(exact, "rational_inverse", lambda a: inverses.append(a) or inv(a))
-        quotient_torus(RationalTorus(4), [TorusPoint(ENRIQUES_ETA)])
-        assert len(calls) == 1 and not inverses
+        assert len(calls) == 1
         calls.clear()
         weight_data(picard_lefschetz(frame, 1))
         assert len(calls) == 2
-        model = build_stratum_model("ell111")
-        calls.clear()
-        compute_JW1(model)
-        assert len(calls) == 5
+        for label, count in (("enriques", 3), ("ell111", 5)):
+            model = build_stratum_model(label)
+            calls.clear()
+            compute_JW1(model)
+            assert len(calls) == count
 
     def test_predicates_all_strata(self):
         for label in STRATUM_LABELS:
@@ -171,7 +167,7 @@ class TestLozenge:
         # ◊_{0,2}: W₀ = 0 and rank W₁ = 4 on every stratum frame
         for label in STRATUM_LABELS:
             f = build_frame(label)
-            assert len(f.w1_basis) == 4
+            assert len(exact.invariant_factors(f.cycles())) == 4
 
 
 class TestJW1:
@@ -192,13 +188,24 @@ class TestJW1:
         # m_σ = +(c₁ ⊕ c₂) passes every kernel check; only ι₁c₁ + ι₂c₂ + m_σ = 0
         # tells it apart from the true cokernel marking −(c₁ ⊕ c₂)
         jd, jw = RationalTorus(2), RationalTorus(4)
-        c1 = TorusMorphism(jd, jd, ((2, 0), (0, 1)))
-        c2 = TorusMorphism(jd, jd, ((1, 0), (0, 2)))
         i1, i2, m_sigma = compute_JW1(build_stratum_model("ell111")).markings
-        _check_ell111(c1, c2, (i1, i2, m_sigma))
+        _check_ell111((i1, i2, m_sigma))
         plus = TorusMorphism(jd, jw, ((2, 0), (0, 1), (1, 0), (0, 2)))
         with pytest.raises(exact.VerificationError, match="cokernel"):
-            _check_ell111(c1, c2, (i1, i2, plus))
+            _check_ell111((i1, i2, plus))
+
+    def test_enriques_quotient_certificate(self):
+        # the sum map of the markings must have kernel exactly ⟨η⟩
+        jd, jw = RationalTorus(2), RationalTorus(4)
+        i1, i2 = compute_JW1(build_stratum_model("enriques")).markings
+        _check_enriques((i1, i2))
+        for corrupt, match in [
+            (((1, 0), (0, 1), (0, 0), (0, 0)), "not ⟨η⟩"),  # no quotient at all
+            (((1, 0), (0, 2), (0, -1), (0, 0)), "not ⟨η⟩"),  # ⟨(0, 1/2, 1/2, 0)⟩
+            (((2, 0), (0, 1), (0, 0), (0, 0)), "not injective"),
+        ]:
+            with pytest.raises(exact.VerificationError, match=match):
+                _check_enriques((TorusMorphism(jd, jw, corrupt), i2))
 
 
 class TestExtensionMap:

@@ -4,14 +4,13 @@ from fractions import Fraction
 import pytest
 
 from istrata.exact import identity_matrix
-from istrata.strata import build_stratum_model, compute_JW1
+from istrata.strata import ENRIQUES_ETA, build_stratum_model, compute_JW1
 from istrata.tori import (
     RationalTorus,
     TorusMorphism,
     TorusPoint,
     kernel_points,
     n_torsion,
-    quotient_torus,
     stack_via_sum,
 )
 
@@ -87,31 +86,26 @@ class TestKernel:
             kernel_points(f)
 
 
+def _projection(label):
+    """The sum map JD₁ ⊕ JD₂ → JW₁ of a two-curve stratum's markings."""
+    return stack_via_sum(*compute_JW1(build_stratum_model(label)).markings)
+
+
 class TestQuotient:
+    # a quotient by a finite subgroup is written as its projection matrix; on
+    # the Enriques stratum that is (JD₁ ⊕ JD₂) → (JD₁ ⊕ JD₂)/⟨η⟩
     def test_degree_two(self):
-        T = RationalTorus(2)
-        eta = TorusPoint((Fraction(1, 2), Fraction(0)))
-        q, proj = quotient_torus(T, [eta])
+        proj = _projection("enriques")
         assert proj.degree() == 2
-        assert proj.apply(eta).is_zero()
+        assert proj.apply(TorusPoint(ENRIQUES_ETA)).is_zero()
 
     def test_trivial_group(self):
-        T = RationalTorus(2)
-        q, proj = quotient_torus(T, [])
-        assert proj.degree() == 1
-
-    def test_not_closed_rejected(self):
-        T = RationalTorus(1)
-        with pytest.raises(ValueError):
-            quotient_torus(T, [TorusPoint((Fraction(1, 3),))])
+        assert _projection("rat11").degree() == 1
 
     def test_kernel_of_projection_is_input(self):
-        T = RationalTorus(2)
-        eta = TorusPoint((Fraction(1, 2), Fraction(1, 2)))
-        q, proj = quotient_torus(T, [eta])
-        grp, gens = kernel_points(proj)
+        grp, gens = kernel_points(_projection("enriques"))
         assert grp.order == 2
-        assert gens[0].coords in {eta.coords}
+        assert [g.coords for g in gens] == [ENRIQUES_ETA]
 
 
 def _ell111_jw1():
