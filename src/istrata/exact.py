@@ -177,17 +177,6 @@ def invariant_factors(a):
     return smith_normal_form(a)[1]
 
 
-def in_row_span(rows, v):
-    """Is v in the integer row span of `rows`?
-
-    With P·rows·V = D the Smith form and y = v·V, v = y·W lies in the span
-    of dᵢ·W[i] (i < r) iff dᵢ | yᵢ below the rank r and yᵢ = 0 past it.
-    """
-    _, facs, vm, _ = smith_normal_form(rows or [[0] * len(v)])
-    y = vec_mat(v, vm)
-    return all(x % d == 0 for x, d in zip(y, facs)) and not any(y[len(facs):])
-
-
 # ---------------------------------------------------------------------------
 # determinants, inverses, solving
 

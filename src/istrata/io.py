@@ -23,6 +23,14 @@ class InputError(ValueError):
     """A JSON document that does not follow the exact-JSON schema."""
 
 
+def _parse_int(text):
+    """int(text); a number past the int-string digit limit is bad input."""
+    try:
+        return int(text)
+    except ValueError as exc:  # more than sys.get_int_max_str_digits() digits
+        raise InputError(f"number too long: {exc}") from exc
+
+
 def fraction_to_str(f):
     f = Fraction(f)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
@@ -33,7 +41,8 @@ def fraction_from_str(s):
     if type(s) is int:
         return Fraction(s)
     if isinstance(s, str) and re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", s):
-        return Fraction(s)
+        num, _, den = s.partition("/")
+        return Fraction(_parse_int(num), _parse_int(den or "1"))
     raise InputError(f"not an exact rational: {s!r}")
 
 
@@ -84,7 +93,7 @@ def polynomial_from_json(obj):
     for key, val in obj.items():
         if not re.fullmatch(r"(0|[1-9][0-9]*)(,(0|[1-9][0-9]*)){3}", key):
             raise InputError(f"bad exponent key {key!r}")
-        d[tuple(int(e) for e in key.split(","))] = fraction_from_str(val)
+        d[tuple(_parse_int(e) for e in key.split(","))] = fraction_from_str(val)
     try:
         return WeightedPolynomial.from_dict(d)
     except ValueError as exc:  # a monomial of weight other than 6
@@ -93,7 +102,7 @@ def polynomial_from_json(obj):
 
 def dataset_to_json(ds):
     return {
-        "version": ds.version,
+        "version": FORMAT_VERSION,
         "k": ds.k,
         "pair_pattern": list(ds.pair_pattern),
         "root_label": ds.root_label,
@@ -167,6 +176,8 @@ def dataset_from_json(obj):
     pairs = obj["jw1_pair_indices"]
     _check(
         isinstance(pairs, list)
+        # the pair count first: the expected list below has k(k−1)/2 entries
+        and len(pairs) == k * (k - 1) // 2
         and all(
             isinstance(e, list) and len(e) == 2 and _is_ints(e[0], 2)
             and type(e[1]) is int and e[1] >= 1
@@ -201,10 +212,10 @@ def _unique_keys(pairs):
 
 
 def load_path(path):
-    """The JSON object stored at path; any other top-level value, or an
-    object that repeats a key, is rejected."""
+    """The JSON object stored at path; any other top-level value, an object
+    that repeats a key, or an integer past the digit limit is rejected."""
     with open(path) as fh:
-        obj = json.load(fh, object_pairs_hook=_unique_keys)
+        obj = json.load(fh, object_pairs_hook=_unique_keys, parse_int=_parse_int)
     if not isinstance(obj, dict):
         raise InputError("top-level JSON value must be an object")
     return obj

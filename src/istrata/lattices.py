@@ -89,6 +89,15 @@ def hyperbolic_plane():
     return IntegralLattice([[0, 1], [1, 0]])
 
 
+def blowup_lattice(n):
+    """I₁,ₙ = diag(1, −1ⁿ): H² of ℙ² blown up at n points, basis ⟨h, ε₁..εₙ⟩."""
+    g = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        g[i][i] = -1
+    g[0][0] = 1
+    return IntegralLattice(g)
+
+
 # ---------------------------------------------------------------------------
 # operations
 

@@ -151,7 +151,6 @@ def _check_frame(frame):
 @dataclass(frozen=True)
 class MonodromyOperator:
     matrix: tuple  # 8×8 integer matrix, column convention
-    pair_index: int | None  # generating i (1-based), None for sums
 
     def apply(self, x):
         return tuple(exact.mat_vec(self.matrix, x))
@@ -171,7 +170,7 @@ def picard_lefschetz(frame, i):
     gb = exact.mat_vec(g, b)
     n = 8
     m = [[a[s] * gb[t] - b[s] * ga[t] for t in range(n)] for s in range(n)]
-    return MonodromyOperator(matrix=tuple(tuple(r) for r in m), pair_index=i)
+    return MonodromyOperator(matrix=tuple(tuple(r) for r in m))
 
 
 def operator_sum(ops, coeffs=None):
@@ -184,7 +183,7 @@ def operator_sum(ops, coeffs=None):
         for s in range(n):
             for t in range(n):
                 m[s][t] += c * op.matrix[s][t]
-    return MonodromyOperator(matrix=tuple(tuple(r) for r in m), pair_index=None)
+    return MonodromyOperator(matrix=tuple(tuple(r) for r in m))
 
 
 def weight_data(N):

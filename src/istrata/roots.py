@@ -9,11 +9,10 @@ fundamental weights and highest roots.  Everything is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from . import exact
-from .lattices import IntegralLattice, lattice_predicates
+from .lattices import IntegralLattice, blowup_lattice, lattice_predicates
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +71,6 @@ class RootDecomposition:
 
     def all_simple_roots(self):
         return [r for _, simples in self.components for r in simples]
-
-
-def _is_positive(v):
-    """Positivity w.r.t. the generic functional (1, t, t², …), t → 0⁺."""
-    for x in v:
-        if x:
-            return x > 0
-    return False
 
 
 def _ade_label(simples, pairing):
@@ -157,9 +148,7 @@ def _simple_roots(L, roots):
     earlier in the order with r − α positive.  So r is simple iff r·α ≠ −1
     for every simple α kept so far.
     """
-    positives = [
-        tuple(r) if _is_positive(r) else tuple(-x for x in r) for r in roots
-    ]
+    positives = [_sign_canonical(r) for r in roots]
     dual = {}
     for r in sorted(positives):
         if all(sum(map(mul, r, ga)) != -1 for ga in dual.values()):
@@ -284,14 +273,6 @@ def niemeier_identify(L):
 # weights and highest roots
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    component: int
-    j: int  # Bourbaki index, 1-based
-    representative: tuple  # rational ambient coordinates
-    coeffs: tuple  # coordinates in the component's simple-root basis
-
-
 def fundamental_weight(dec, comp, j):
     """ϖ_j of component `comp`: the rational ambient vector in the span of
     that component's simple roots with ϖ_j·αᵢ = δ_{ij} (and pairing 0 with
@@ -307,17 +288,13 @@ def fundamental_weight(dec, comp, j):
     c = exact.solve_unique(neg_cartan, rhs)
     if c is None:
         raise ValueError("ambient form degenerate on the component span")
-    rep = [Fraction(0)] * dec.lattice.rank
-    for ci, s in zip(c, simples):
-        for t in range(len(rep)):
-            rep[t] += ci * s[t]
-    return WeightVector(component=comp, j=j, representative=tuple(rep), coeffs=tuple(c))
+    return tuple(exact.vec_mat(c, simples))
 
 
 def weight_self_pairing(dec, w):
     """ϖ_j² — equals −(C⁻¹)ⱼⱼ for the component's Cartan matrix C."""
     g = dec.lattice.gram_lists()
-    return exact.dot_gram(list(w.representative), g, list(w.representative))
+    return exact.dot_gram(list(w), g, list(w))
 
 
 def component_root_lattice(dec, comp):
@@ -358,11 +335,7 @@ def build_En_lattice(n):
     """
     if not 3 <= n <= 11:
         raise ValueError("n must be in 3..11")
-    g = [[0] * (n + 1) for _ in range(n + 1)]
-    g[0][0] = 1
-    for i in range(1, n + 1):
-        g[i][i] = -1
-    L = IntegralLattice(g)
+    L = blowup_lattice(n)
     h = tuple([1] + [0] * n)
     eps = [tuple(1 if j == i else 0 for j in range(n + 1)) for i in range(1, n + 1)]
     kappa = tuple([3] + [-1] * n)

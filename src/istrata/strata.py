@@ -21,6 +21,7 @@ from math import lcm
 from . import exact
 from .lattices import (
     IntegralLattice,
+    blowup_lattice,
     direct_sum,
     hyperbolic_plane,
     index_of_sublattice,
@@ -29,7 +30,13 @@ from .lattices import (
     orthogonal_complement,
     quotient_by_isotropic,
 )
-from .roots import decompose_root_system, enumerate_roots, fundamental_weight
+from .roots import (
+    build_En_lattice,
+    decompose_root_system,
+    enumerate_roots,
+    fundamental_weight,
+    weight_self_pairing,
+)
 from .tori import (
     RationalTorus,
     TorusMorphism,
@@ -72,32 +79,17 @@ def del_pezzo_surface(name, degree, curve_index):
     """dP_d component: ⟨h, ε₁..ε_{9−d}⟩ = diag(1, −1⁹⁻ᵈ), anticanonical
     double curve D′ = −K = 3h − Σεᵢ."""
     n = 9 - degree
-    g = [[0] * (n + 1) for _ in range(n + 1)]
-    g[0][0] = 1
-    for i in range(1, n + 1):
-        g[i][i] = -1
     K = tuple([-3] + [1] * n)
     D = tuple(-x for x in K)
     return ComponentSurface(
         name=name,
-        lattice=IntegralLattice(g),
+        lattice=blowup_lattice(n),
         canonical_class=K,
         double_curves={curve_index: D},
     )
 
 
-def _diag_lattice(pos, neg):
-    g = [[0] * (pos + neg) for _ in range(pos + neg)]
-    for i in range(pos):
-        g[i][i] = 1
-    for i in range(pos, pos + neg):
-        g[i][i] = -1
-    return IntegralLattice(g)
-
-
 def _e8_root_gram():
-    from .roots import build_En_lattice
-
     L, h, eps, kappa, alphas = build_En_lattice(8)
     return [[L.pairing(a, b) for b in alphas] for a in alphas]
 
@@ -143,32 +135,35 @@ class GluedBoundaryModel:
             out[off + t] = x
         return tuple(out)
 
+    def dp_root_basis(self, i):
+        """The κ⊥ root basis α₁..αₙ of the i-th del Pezzo component
+        (0-based) in ambient coordinates: α₁..αₙ₋₁ the ε-differences, αₙ
+        the cubic class (`roots.build_En_lattice`)."""
+        n = self.dp_components[i].lattice.rank - 1
+        return [self.embed_z(i, a) for a in build_En_lattice(n)[4]]
 
-def _rat_basis_class(rank, h=0, eps=(), extra=()):
-    """Class a·h + Σ bⱼ ε_j + extras for diag(1,−1^{rank−1}) bases.
 
-    `eps` is a list of (index, coeff) with 1-based ε indices; `extra`
-    likewise for trailing basis vectors addressed by absolute position.
+def _rat_basis_class(rank, h=0, eps=()):
+    """Class a·h + Σ bⱼ vⱼ for diag(1,−1^{rank−1}) bases.
+
+    `eps` is a list of (position, coeff): εⱼ sits at position j, and the
+    basis vectors after the ε block at their own positions.
     """
     v = [0] * rank
     v[0] = h
     for j, c in eps:
-        v[j] = c
-    for j, c in extra:
         v[j] = c
     return tuple(v)
 
 
 def _build_rat21():
     rank = 12  # h, ε₁..ε₉, φ₁, φ₂
-    L = _diag_lattice(1, 11)
-    PHI1, PHI2 = 10, 11
-    d1 = _rat_basis_class(rank, h=6, eps=[(j, -2) for j in range(1, 10)],
-                          extra=[(PHI1, -1), (PHI2, -1)])
-    d2 = _rat_basis_class(rank, h=3, eps=[(j, -1) for j in range(1, 9)],
-                          extra=[(PHI1, -1), (PHI2, -1)])
-    l = _rat_basis_class(rank, h=6, eps=[(j, -2) for j in range(1, 9)] + [(9, -1)],
-                         extra=[(PHI1, -1), (PHI2, -1)])
+    L = blowup_lattice(11)
+    phis = [(10, -1), (11, -1)]  # −φ₁ − φ₂
+    d1 = _rat_basis_class(rank, h=6, eps=[(j, -2) for j in range(1, 10)] + phis)
+    d2 = _rat_basis_class(rank, h=3, eps=[(j, -1) for j in range(1, 9)] + phis)
+    l = _rat_basis_class(rank, h=6,
+                         eps=[(j, -2) for j in range(1, 9)] + [(9, -1)] + phis)
     K = tuple(a - b - c for a, b, c in zip(l, d1, d2))
     yt = ComponentSurface("Y~(2,1)", L, K, {1: d1, 2: d2}, l_class=l)
     zs = (del_pezzo_surface("Z1=dP2", 2, 1), del_pezzo_surface("Z2=dP1", 1, 2))
@@ -177,15 +172,13 @@ def _build_rat21():
 
 def _build_rat22():
     rank = 13  # h, ε₁..ε₁₁, C
-    L = _diag_lattice(1, 12)
+    L = blowup_lattice(12)
     C = 12
     d2 = _rat_basis_class(rank, h=3, eps=[(j, -1) for j in range(1, 12)])
     d1 = _rat_basis_class(rank, h=4,
-                          eps=[(j, -1) for j in range(1, 11)] + [(11, -2)],
-                          extra=[(C, -2)])
+                          eps=[(j, -1) for j in range(1, 11)] + [(11, -2), (C, -2)])
     l = _rat_basis_class(rank, h=4,
-                         eps=[(j, -1) for j in range(1, 11)] + [(11, -2)],
-                         extra=[(C, -1)])
+                         eps=[(j, -1) for j in range(1, 11)] + [(11, -2), (C, -1)])
     K = tuple(a - b - c for a, b, c in zip(l, d1, d2))
     yt = ComponentSurface("Y~(2,2)", L, K, {1: d1, 2: d2}, l_class=l)
     zs = (del_pezzo_surface("Z1=dP2", 2, 1), del_pezzo_surface("Z2=dP2", 2, 2))
@@ -194,7 +187,7 @@ def _build_rat22():
 
 def _build_rat11():
     rank = 11  # h, ε₁..ε₁₀
-    L = _diag_lattice(1, 10)
+    L = blowup_lattice(10)
     d1 = _rat_basis_class(rank, h=6,
                           eps=[(j, -2) for j in range(1, 10)] + [(10, -1)])
     d2 = _rat_basis_class(rank, h=6,
@@ -674,8 +667,6 @@ def beta11_weight_crosscheck(lam=None):
     """ϖ₇(E₇)² + ϖ₉(D₁₀)² = −3/2 − 5/2 = −4 from inverse Cartan data."""
     if lam is None:
         lam = compute_lambda("rat22")
-    from .roots import weight_self_pairing
-
     dec = lam.root_data
     w7 = fundamental_weight(dec, 0, 7)
     w9 = fundamental_weight(dec, 2, 9)
@@ -695,21 +686,13 @@ def completed_E8_roots(model):
     completing Z₁'s E₇ by β = ε + ε′ with ε = −σ + f.  Every returned root
     lies in {ξ,[L]}⊥ and has square −2.
     """
-    from .roots import build_En_lattice
-
     label = model.stratum
     if label not in ("rat21", "ell211"):
         raise ValueError("completed_E8_roots defined for rat21 and ell211 only")
 
-    def dp_root_basis(i):
-        z = model.dp_components[i]
-        n = z.lattice.rank - 1
-        _, _, _, _, alphas = build_En_lattice(n)
-        return [model.embed_z(i, a) for a in alphas]
-
     def e7_completion(eps_y):
         # Z₁ is a dP2: its κ⊥ is an E₇; β = ε + ε′ attaches a node
-        e7 = dp_root_basis(0)
+        e7 = model.dp_root_basis(0)
         eps_z = model.embed_z(0, (0, 1, 0, 0, 0, 0, 0, 0))
         beta = tuple(a + b for a, b in zip(model.embed_y(eps_y), eps_z))
         return [beta] + e7
@@ -726,10 +709,10 @@ def completed_E8_roots(model):
         v[1] = v[2] = v[3] = -1
         pure.append(model.embed_y(v))
         eps_y = tuple([-3] + [1] * 8 + [1, 1, 0])  # −3h + Σ₁⁸εᵢ + ε₉ + φ₁
-        groups = [dp_root_basis(1), pure, e7_completion(eps_y)]
+        groups = [model.dp_root_basis(1), pure, e7_completion(eps_y)]
     else:
         eps_y = (-1, 1, 0, 0, 0)  # −σ + f
-        groups = [dp_root_basis(1), dp_root_basis(2), e7_completion(eps_y)]
+        groups = [model.dp_root_basis(1), model.dp_root_basis(2), e7_completion(eps_y)]
     amb = model.ambient
     span = [list(x) for x in model.xi] + [list(model.l_total)]
     for grp in groups:

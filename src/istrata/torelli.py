@@ -200,7 +200,6 @@ class BoundaryDataset:
     root_label: str
     summands: tuple  # SummandData
     jw1_pair_indices: tuple  # ((i, j), kernel order) per unordered curve pair
-    version: int = 1
 
     def __post_init__(self):
         rank = sum(len(s.simple_roots) for s in self.summands)
@@ -218,21 +217,6 @@ class BoundaryDataset:
         return count
 
 
-def _ell111_summand_bases(model, lam):
-    """The standard κ⊥ bases of the three dP1 components, in Λ coordinates.
-
-    Using the exceptional-basis order (α₁..α₇ the ε-differences, α₈ the
-    cubic class) keys the stored ψ values directly to the period map.
-    """
-    out = []
-    for i, z in enumerate(model.dp_components):
-        n = z.lattice.rank - 1
-        _, _, _, _, alphas = build_En_lattice(n)
-        basis = [lam.ambient_to_lambda(model.embed_z(i, a)) for a in alphas]
-        out.append(tuple(basis))
-    return out
-
-
 def gen_fixture(label, seed):
     """Reproducible BoundaryDataset for a stratum, plus the generating
     descriptor used by round-trip tests."""
@@ -245,7 +229,12 @@ def gen_fixture(label, seed):
     restriction = generate_restriction_data(model, seed)
     psi = extension_map(model, lam, restriction, jw1)
     if label == "ell111":
-        summand_bases = [("E8", basis) for basis in _ell111_summand_bases(model, lam)]
+        # the κ⊥ bases of the three dP1 components, in the exceptional-basis
+        # order that keys the stored ψ values directly to the period map
+        summand_bases = [
+            ("E8", [lam.ambient_to_lambda(r) for r in model.dp_root_basis(i)])
+            for i in range(model.k)
+        ]
     else:
         summand_bases = [(lbl, simples) for lbl, simples in lam.root_data.components]
     summands = []
@@ -333,7 +322,6 @@ class Ell111Descriptor:
     distinguished_pair: tuple  # the two curve indices (0-based) with index-1 sum
     section_curve: int  # the remaining curve, identified with the base B
     configs: tuple  # canonical point configs for the two distinguished curves
-    orbits: tuple  # full 9-element reconstruction orbits
 
 
 def reconstruct_111(ds):
@@ -359,19 +347,14 @@ def reconstruct_111(ds):
             curve_summand.setdefault(nonzero[0], s)
     if sorted(curve_summand) != sorted(distinguished):
         raise ValueError("distinguished curves lack single-factor summands")
-    orbits = []
     configs = []
     for i in distinguished:
-        s = curve_summand[i]
-        periods = PeriodAssignment(n=8, values=tuple(s.psi_points[i]))
-        rec = reconstruct_points(periods)
-        orbits.append(rec.orbit)
-        configs.append(rec.canonical)
+        periods = PeriodAssignment(n=8, values=tuple(curve_summand[i].psi_points[i]))
+        configs.append(reconstruct_points(periods).canonical)
     return Ell111Descriptor(
         distinguished_pair=distinguished,
         section_curve=section,
         configs=tuple(configs),
-        orbits=tuple(orbits),
     )
 
 

@@ -128,8 +128,11 @@ def test_criterion_4_beta11_coset_order():
     assert abs(math.prod(factors)) == 16
     assert lam.root_index == 4
 
-    assert not exact.in_row_span(simples, list(beta))
-    assert exact.in_row_span(simples, [2 * x for x in beta])
+    # v ∈ Λ_R iff appending it to the simple roots leaves the invariant
+    # factors alone
+    factors_r = exact.invariant_factors(simples)
+    assert exact.invariant_factors(simples + [list(beta)]) != factors_r
+    assert exact.invariant_factors(simples + [[2 * x for x in beta]]) == factors_r
     assert order == 2, f"computed coset order {order}"
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -290,6 +291,36 @@ class TestCli:
             assert report is None
             assert "input error" in err
 
+    def test_overlong_number_in_lattice_is_input_error(self, capsys, tmp_path):
+        # json.load refuses integers past the int-string digit limit (4300)
+        path = tmp_path / "lat.json"
+        path.write_text('{"rank": 1, "gram": [[-' + "7" * 5000 + ']]}')
+        code, report, err = self.run(capsys, "roots", "--input", str(path))
+        assert (code, report) == (2, None)
+        assert err.startswith("input error: number too long")
+
+    def test_overlong_exponent_key_is_input_error(self, capsys, tmp_path):
+        obj = serial.polynomial_to_json(normalform.random_deformation(9))
+        obj["7" * 5000 + ",0,0,0"] = "1"
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(obj))
+        code, report, err = self.run(capsys, "normal-form", "--input", str(path))
+        assert (code, report) == (2, None)
+        assert err.startswith("input error: number too long")
+
+    def test_k_disagreeing_with_pairs_is_rejected_quickly(self, capsys, tmp_path):
+        # the pair count is checked before the k(k−1)/2 expected pairs are built
+        code, obj, _ = self.run(capsys, "gen-fixture", "rat11", "--seed", "3")
+        assert code == 0
+        obj["k"] = 3000
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(obj))
+        start = time.perf_counter()
+        code, report, err = self.run(capsys, "classify", "--input", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert (code, report) == (2, None)
+        assert "jw1_pair_indices must list" in err
+
     def test_dataset_version_is_input_error(self, capsys, tmp_path):
         ds, _ = torelli.gen_fixture("rat11", 1)
         obj = serial.dataset_to_json(ds)
@@ -405,6 +436,28 @@ def test_bad_polynomial_under_python_O(tmp_path):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("input error: bad exponent key")
+
+
+@pytest.mark.parametrize("field", ["psi_point", "k"])
+def test_overlong_number_in_dataset_under_python_O(field, tmp_path):
+    """A number past the int-string digit limit (4300) is bad input (exit 2),
+    not a failed precondition, and the check survives `python -O`."""
+    ds, _ = torelli.gen_fixture("rat11", 3)
+    obj = serial.dataset_to_json(ds)
+    if field == "psi_point":
+        obj["summands"][0]["psi_points"][0][0][0] = "1/" + "7" * 5000
+    text = json.dumps(obj)
+    if field == "k":
+        # written into the text: json.dumps cannot print such an int either
+        text = text.replace('"k": 2,', '"k": ' + "9" * 5000 + ",")
+    (tmp_path / "ds.json").write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "istrata.cli", "classify", "--input", "ds.json"],
+        env=env, capture_output=True, text=True, timeout=600, cwd=tmp_path,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("input error: number too long")
 
 
 # sha256 of stdout and the exit code of each report; a change to the exact

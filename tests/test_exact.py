@@ -49,13 +49,6 @@ class TestSmithNormalForm:
         assert exact.smith_normal_form(a) == exact.smith_normal_form(a)
 
 
-class TestHermite:
-    def test_row_span_membership(self):
-        rows = [[2, 0, 1], [0, 3, 1]]
-        assert exact.in_row_span(rows, [2, 3, 2])
-        assert not exact.in_row_span(rows, [1, 0, 0])
-
-
 class TestDetInverse:
     def test_bareiss_matches_cofactor_2x2(self):
         rng = random.Random(2)

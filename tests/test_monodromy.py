@@ -123,12 +123,13 @@ class TestOperators:
     def test_image_is_primitive_rank2_in_w1(self):
         for kind in FRAME_KINDS:
             f = build_frame(kind)
-            w1 = [list(r) for r in W1_BASIS]
+            # W1_BASIS is e₁..e₄, so W₁ membership is a zero f-part
+            assert W1_BASIS == tuple(tuple(int(t == i) for t in range(8)) for i in range(4))
             for i in range(1, f.k + 1):
                 span = [list(f.alphas[i - 1]), list(f.betas[i - 1])]
                 assert exact.invariant_factors(span) == [1, 1]
                 for v in span:
-                    assert exact.in_row_span(w1, v)
+                    assert not any(v[4:])
 
     def test_dual_evaluations(self):
         f = build_frame("ell111")
@@ -190,7 +191,6 @@ class TestWeightData:
 
         bad = MonodromyOperator(
             matrix=tuple(tuple(exact.identity_matrix(8)[i]) for i in range(8)),
-            pair_index=None,
         )
         with pytest.raises(ValueError):
             weight_data(bad)

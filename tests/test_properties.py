@@ -76,25 +76,6 @@ def test_det_multiplicative(a, b):
     ) * exact.det_bareiss(b)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    int_matrix(3, 4).flatmap(
-        lambda m: st.tuples(
-            st.just(m),
-            st.lists(ints, min_size=len(m[0]), max_size=len(m[0])),
-            st.lists(ints, min_size=len(m), max_size=len(m)),
-        )
-    )
-)
-def test_in_row_span_matches_invariant_factors(case):
-    # v is in the span iff appending it leaves the invariant factors alone
-    m, v, x = case
-    assert exact.in_row_span(m, v) == (
-        exact.invariant_factors(m + [v]) == exact.invariant_factors(m)
-    )
-    assert exact.in_row_span(m, exact.vec_mat(x, m))
-
-
 @settings(max_examples=40, deadline=None)
 @given(square_matrix(4))
 def test_kernel_annihilates(m):

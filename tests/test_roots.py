@@ -189,8 +189,8 @@ class TestWeights:
         assert weight_self_pairing(dec1, w1) == Fraction(-1, 2)
         # ϖ₁ = −α/2: the sign convention ϖ_j·α_i = +δ_{ij} in negative
         # definite signature puts the weight on the −α side
-        assert w1.representative == (Fraction(-1, 2),)
-        assert dec1.lattice.pairing(w1.representative, (1,)) == 1
+        assert w1 == (Fraction(-1, 2),)
+        assert dec1.lattice.pairing(w1, (1,)) == 1
 
     def test_D10_weight9(self):
         # D10 Gram in Bourbaki order
@@ -215,7 +215,7 @@ class TestWeights:
         _, simples = dec.components[0]
         g = E6.gram_lists()
         for i, s in enumerate(simples, start=1):
-            got = exact.dot_gram(list(w.representative), g, list(s))
+            got = exact.dot_gram(list(w), g, list(s))
             assert got == (1 if i == 3 else 0)
 
 
