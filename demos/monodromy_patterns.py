@@ -30,9 +30,7 @@ def main():
         # products vanish pairwise
         for Ni in ops:
             for Nj in ops:
-                prod = exact.mat_mul(
-                    [list(r) for r in Ni.matrix], [list(r) for r in Nj.matrix]
-                )
+                prod = exact.mat_mul(Ni, Nj)
                 assert all(all(x == 0 for x in row) for row in prod)
         print("  NᵢNⱼ = 0 for all i, j  ✓")
         _, _, rank, _ = weight_data(operator_sum(ops))

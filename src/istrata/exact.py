@@ -178,7 +178,7 @@ def invariant_factors(a):
 
 
 # ---------------------------------------------------------------------------
-# determinants, inverses, solving
+# determinants and solving
 
 
 def det_bareiss(a):
@@ -239,25 +239,6 @@ def pivot_columns(a):
         if len(invariant_factors([[row[t] for t in cols + [j]] for row in a])) > len(cols):
             cols.append(j)
     return cols
-
-
-def rational_inverse(a):
-    """Inverse of a square integer matrix, entries Fraction.
-
-    From the Smith form P·a·V = D, a⁻¹ = V·D⁻¹·P (Cohen, GTM 138, §2.4.4);
-    with d = lcm(dᵢ), the last invariant factor, V·(d·D⁻¹)·P is integral and
-    only the final division by d builds Fractions.  Raises ValueError on non-square
-    or singular input.
-    """
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    p, facs, v, _ = smith_normal_form(a)
-    if len(facs) < n:
-        raise ValueError("matrix is singular")
-    den = lcm(*facs)
-    scaled = [[x * (den // di) for x, di in zip(row, facs)] for row in v]
-    return [[Fraction(x, den) for x in row] for row in mat_mul(scaled, p)]
 
 
 def solve_unique(a, b):

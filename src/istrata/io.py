@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -32,8 +33,16 @@ def _parse_int(text):
 
 
 def fraction_to_str(f):
+    """"p" or "p/q".  A result computed from a file can outgrow the numbers in
+    it (reconstructed points sum ψ values, so denominators multiply); past the
+    int-string digit limit that is bad input, not a failed precondition."""
     f = Fraction(f)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    try:
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    except ValueError as exc:  # more than sys.get_int_max_str_digits() digits
+        raise InputError(
+            f"number too long: a result has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 def fraction_from_str(s):

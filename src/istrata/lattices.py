@@ -35,10 +35,6 @@ class FiniteAbelianGroup:
     def order(self):
         return prod(self.invariant_factors)
 
-    @property
-    def exponent(self):
-        return self.invariant_factors[-1] if self.invariant_factors else 1
-
 
 @dataclass(frozen=True)
 class IntegralLattice:

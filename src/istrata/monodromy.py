@@ -10,18 +10,9 @@ live in the e-span, so W₁ is the first four coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 from . import exact
-from .lattices import IntegralLattice
-
-
-def _u4_gram():
-    g = [[0] * 8 for _ in range(8)]
-    for i in range(4):
-        g[i][4 + i] = g[4 + i][i] = 1
-    return g
 
 
 def _comb(*terms):
@@ -31,6 +22,9 @@ def _comb(*terms):
     return tuple(v)
 
 
+# Gram of U⁴: eᵢ·fᵢ = 1, every other basis pairing 0
+U4_GRAM = tuple(tuple(int(abs(s - t) == 4) for t in range(8)) for s in range(8))
+
 # W₁ = (ℚ-span of the cycles) ∩ ℤ⁸ is e₁..e₄ in every frame (_check_frame)
 W1_BASIS = tuple(_comb((1, i)) for i in range(4))
 
@@ -38,10 +32,8 @@ W1_BASIS = tuple(_comb((1, i)) for i in range(4))
 @dataclass(frozen=True)
 class MonodromyFrame:
     label: str
-    ambient: IntegralLattice
     alphas: tuple  # α̃₁..α̃_k
     betas: tuple  # β̃₁..β̃_k
-    duals: tuple  # rational duals (α̃₁*, β̃₁*, α̃₂*, β̃₂*)
 
     @property
     def k(self):
@@ -52,10 +44,6 @@ class MonodromyFrame:
         for a, b in zip(self.alphas, self.betas):
             out.extend([a, b])
         return out
-
-    def dual(self, name):
-        idx = {"alpha1": 0, "beta1": 1, "alpha2": 2, "beta2": 3}[name]
-        return self.duals[idx]
 
 
 _FRAME_CYCLES = {
@@ -95,29 +83,9 @@ def build_frame(label):
     if kind not in _FRAME_CYCLES:
         raise ValueError(f"unknown frame label {label!r}")
     alphas, betas = _FRAME_CYCLES[kind]
-    ambient = IntegralLattice(_u4_gram())
-    frame = MonodromyFrame(
-        label=kind,
-        ambient=ambient,
-        alphas=tuple(alphas),
-        betas=tuple(betas),
-        duals=_duals(ambient, alphas, betas),
-    )
+    frame = MonodromyFrame(label=kind, alphas=tuple(alphas), betas=tuple(betas))
     _check_frame(frame)
     return frame
-
-
-def _duals(ambient, alphas, betas):
-    """Rational duals of (α̃₁, β̃₁, α̃₂, β̃₂) supported on the f-span.
-
-    The four cycles are ℚ-independent in every frame; a dual x = Σ cⱼ fⱼ
-    satisfies ⟨x, eⱼ⟩ = cⱼ, so the coefficient rows are (Cᵀ)⁻¹ for C the
-    cycle matrix in e-coordinates.
-    """
-    four = [alphas[0], betas[0], alphas[1], betas[1]]
-    cinv = exact.rational_inverse([list(v[:4]) for v in four])
-    zero = (Fraction(0),) * 4
-    return tuple(zero + col for col in zip(*cinv))
 
 
 def _check_frame(frame):
@@ -127,8 +95,7 @@ def _check_frame(frame):
     primitive) sublattice W1_BASIS spans; the e-block of (α̃₁, β̃₁, α̃₂, β̃₂)
     is invertible, so those four span it over ℚ.
     """
-    g = frame.ambient.gram_lists()
-    if any(exact.dot_gram(list(a), g, list(b)) for a in W1_BASIS for b in W1_BASIS):
+    if any(exact.dot_gram(a, U4_GRAM, b) for a in W1_BASIS for b in W1_BASIS):
         raise exact.VerificationError("W1 is not isotropic")
     if any(any(c[4:]) for c in frame.cycles()):
         raise exact.VerificationError("a cycle has a nonzero f-part: it is not in W1")
@@ -148,42 +115,21 @@ def _check_frame(frame):
 # operators
 
 
-@dataclass(frozen=True)
-class MonodromyOperator:
-    matrix: tuple  # 8×8 integer matrix, column convention
-
-    def apply(self, x):
-        return tuple(exact.mat_vec(self.matrix, x))
-
-    def __call__(self, x):
-        return self.apply(x)
-
-
 def picard_lefschetz(frame, i):
-    """Nᵢ(ξ) = ⟨ξ, β̃ᵢ⟩α̃ᵢ − ⟨ξ, α̃ᵢ⟩β̃ᵢ as an integer matrix."""
+    """Nᵢ(ξ) = ⟨ξ, β̃ᵢ⟩α̃ᵢ − ⟨ξ, α̃ᵢ⟩β̃ᵢ as an 8×8 integer matrix (column
+    convention, a tuple of rows)."""
     if not 1 <= i <= frame.k:
         raise ValueError("pair index out of range")
-    a = list(frame.alphas[i - 1])
-    b = list(frame.betas[i - 1])
-    g = frame.ambient.gram_lists()
-    ga = exact.mat_vec(g, a)
-    gb = exact.mat_vec(g, b)
-    n = 8
-    m = [[a[s] * gb[t] - b[s] * ga[t] for t in range(n)] for s in range(n)]
-    return MonodromyOperator(matrix=tuple(tuple(r) for r in m))
+    a = frame.alphas[i - 1]
+    b = frame.betas[i - 1]
+    ga = exact.mat_vec(U4_GRAM, a)
+    gb = exact.mat_vec(U4_GRAM, b)
+    return tuple(tuple(a[s] * gb[t] - b[s] * ga[t] for t in range(8)) for s in range(8))
 
 
-def operator_sum(ops, coeffs=None):
-    """Σ λᵢ Nᵢ with integer coefficients (default all 1)."""
-    if coeffs is None:
-        coeffs = [1] * len(ops)
-    n = len(ops[0].matrix)
-    m = [[0] * n for _ in range(n)]
-    for c, op in zip(coeffs, ops):
-        for s in range(n):
-            for t in range(n):
-                m[s][t] += c * op.matrix[s][t]
-    return MonodromyOperator(matrix=tuple(tuple(r) for r in m))
+def operator_sum(ops):
+    """ΣNᵢ of integer operator matrices."""
+    return tuple(tuple(map(sum, zip(*rows))) for rows in zip(*ops))
 
 
 def weight_data(N):
@@ -191,17 +137,15 @@ def weight_data(N):
 
     Requires N² = 0; verifies Im ⊆ Ker.
     """
-    m = [list(r) for r in N.matrix]
-    if any(any(x for x in row) for row in exact.mat_mul(m, m)):
+    if any(any(row) for row in exact.mat_mul(N, N)):
         raise ValueError("operator does not square to zero")
-    cols = exact.transpose(m)
-    nonzero = [c for c in cols if not exact.is_zero_vector(c)]
+    nonzero = [c for c in exact.transpose(N) if not exact.is_zero_vector(c)]
     _, facs, _, w = exact.smith_normal_form(nonzero)
     im = w[:len(facs)]
     was_saturated = all(f == 1 for f in facs)
-    ker = exact.integer_kernel(m)
+    ker = exact.integer_kernel(N)
     for v in im:
-        if not exact.is_zero_vector(exact.mat_vec(m, v)):
+        if not exact.is_zero_vector(exact.mat_vec(N, v)):
             raise exact.VerificationError("Im not inside Ker")
     return im, ker, len(im), was_saturated
 
@@ -213,7 +157,7 @@ def primitivity_certificate(frame):
     the span is primitive iff all k invariant factors equal 1.
     """
     ops = [picard_lefschetz(frame, i) for i in range(1, frame.k + 1)]
-    cols = [[x for row in op.matrix for x in row] for op in ops]
+    cols = [[x for row in op for x in row] for op in ops]
     a = exact.transpose(cols)
     facs = exact.invariant_factors(a)
     is_primitive = len(facs) == frame.k and all(f == 1 for f in facs)

@@ -69,18 +69,6 @@ class WeightedPolynomial:
         """The sub-sum of monomials with t-exponent exactly k."""
         return {exp: c for exp, c in self.coeffs if exp[3] == k}
 
-    def __add__(self, other):
-        d = self.as_dict()
-        for exp, c in other.coeffs:
-            d[exp] = d.get(exp, Fraction(0)) + c
-        return WeightedPolynomial.from_dict(d)
-
-    def __sub__(self, other):
-        d = self.as_dict()
-        for exp, c in other.coeffs:
-            d[exp] = d.get(exp, Fraction(0)) - c
-        return WeightedPolynomial.from_dict(d)
-
 
 # ---------------------------------------------------------------------------
 # generic (non-homogeneous) polynomial arithmetic used for substitution
@@ -309,7 +297,7 @@ def reduce_to_standard_form(poly):
 # the residual slice and its torus weights
 
 
-def cstar_weights(branch="g2"):
+def cstar_weights(branch):
     """The nine residual coefficients with their ℂ*-weights (= t-exponents).
 
     Returns ((name, exponent tuple, weight), ...) in weight order

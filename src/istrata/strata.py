@@ -313,7 +313,6 @@ def _validate_model(m):
 
 @dataclass(frozen=True)
 class LambdaLattice:
-    stratum: str
     lattice: IntegralLattice  # rank 24
     t_basis: tuple  # rows: basis of T = {ξ,[L]}⊥ in ambient coordinates
     t_inverse: tuple  # integer right inverse of t_basis: T coords = v·t_inverse
@@ -360,7 +359,6 @@ def compute_lambda(label):
     # roots are a basis
     root_index = index_of_sublattice(lam, simples)
     return LambdaLattice(
-        stratum=label,
         lattice=lam,
         t_basis=tuple(map(tuple, t_basis)),
         t_inverse=tuple(map(tuple, t_inverse)),
@@ -503,12 +501,13 @@ class RestrictionData:
 @lru_cache(maxsize=None)
 def _constraint_columns(classes):
     """(J, (subᵀ)⁻¹): pivot columns J of the Ỹ constraint classes and the
-    inverse transpose of their invertible (k+1)×(k+1) block sub on J."""
+    inverse transpose of their invertible (k+1)×(k+1) block sub on J; row j
+    of (subᵀ)⁻¹ is the solution x of sub·x = eⱼ."""
     cols = exact.pivot_columns(classes)
     if len(cols) < len(classes):
         raise ValueError("constraint classes are rank deficient")
     sub = [[row[t] for t in cols] for row in classes]
-    return cols, exact.transpose(exact.rational_inverse(sub))
+    return cols, [exact.solve_unique(sub, e) for e in exact.identity_matrix(len(sub))]
 
 
 def generate_restriction_data(model, seed):
@@ -558,7 +557,6 @@ def generate_restriction_data(model, seed):
 class ExtensionMap:
     """ψ: Λ → JW₁ with its per-curve components."""
 
-    model: GluedBoundaryModel
     lam: LambdaLattice
     restriction: RestrictionData
     jw1: JW1Data
@@ -578,11 +576,9 @@ class ExtensionMap:
         return total
 
 
-def extension_map(model, lam, restriction, jw1=None):
+def extension_map(model, lam, restriction, jw1):
     """Assemble ψ and verify ψ(ξᵢ) = ψ([L]) = 0 identically."""
-    if jw1 is None:
-        jw1 = compute_JW1(model)
-    psi = ExtensionMap(model=model, lam=lam, restriction=restriction, jw1=jw1)
+    psi = ExtensionMap(lam=lam, restriction=restriction, jw1=jw1)
     for x in model.xi:
         for i in range(model.k):
             if not psi.psi_component_ambient(list(x), i).is_zero():

@@ -1,12 +1,12 @@
-"""Rational tori: exact models of Jacobians and their isogenies.
+"""Rational tori: exact models of Jacobians and their morphisms.
 
-A torus of rank g is ℝ^g/ℤ^g; its rational points are tuples of Fractions
-reduced into [0, 1).  Morphisms are integer matrices in the column
-convention (x ↦ M·x).  A pullback isogeny along a degree-d cover is stored
-as its matrix; the Jacobian functor's contravariance is bookkeeping only.
-A quotient by a finite subgroup F is written as its projection matrix and
-certified by `kernel_points` returning F, as `strata.compute_JW1` does for
-the Enriques JW₁.
+A torus of rank g is ℝ^g/ℤ^g; `RationalTorus` carries only g.  A rational
+point is a `TorusPoint` built from its coordinates, Fractions reduced into
+[0, 1).  Morphisms are integer matrices in the column convention
+(x ↦ M·x), applied by `TorusMorphism.apply`.  A quotient by a finite
+subgroup F is written as its projection matrix and certified by
+`kernel_points` returning F, as `strata.compute_JW1` does for the Enriques
+JW₁.
 """
 
 from __future__ import annotations
@@ -64,11 +64,6 @@ class RationalTorus:
     def zero(self):
         return TorusPoint((Fraction(0),) * self.rank)
 
-    def point(self, coords):
-        if len(coords) != self.rank:
-            raise ValueError("coordinate length mismatch")
-        return TorusPoint(tuple(Fraction(c) for c in coords))
-
 
 @dataclass(frozen=True)
 class TorusMorphism:
@@ -91,9 +86,6 @@ class TorusMorphism:
 
     def apply(self, p):
         return TorusPoint(tuple(exact.mat_vec(self.matrix, p.coords)))
-
-    def __call__(self, p):
-        return self.apply(p)
 
     def compose(self, inner):
         """self ∘ inner."""

@@ -308,6 +308,20 @@ class TestCli:
         assert (code, report) == (2, None)
         assert err.startswith("input error: number too long")
 
+    def test_overlong_reconstructed_point_is_input_error(self, capsys, tmp_path):
+        # every number in the file is short, but the reconstructed points sum
+        # ψ values, so their denominators multiply past the digit limit
+        ds, _ = torelli.gen_fixture("ell111", 4)
+        obj = serial.dataset_to_json(ds)
+        points = obj["summands"][0]["psi_points"][0]
+        for i, q in enumerate((10**4000 + 1, 10**4000 + 3)):
+            points[i] = [f"1/{q}"] * 2
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(obj))
+        code, report, err = self.run(capsys, "reconstruct", "--input", str(path))
+        assert (code, report) == (2, None)
+        assert err.startswith("input error: number too long")
+
     def test_k_disagreeing_with_pairs_is_rejected_quickly(self, capsys, tmp_path):
         # the pair count is checked before the k(k−1)/2 expected pairs are built
         code, obj, _ = self.run(capsys, "gen-fixture", "rat11", "--seed", "3")

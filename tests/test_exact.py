@@ -65,19 +65,14 @@ class TestDetInverse:
                 a
             ) * exact.det_bareiss(b)
 
-    def test_rational_inverse(self):
-        a = [[2, 1], [1, 1]]
-        inv = exact.rational_inverse(a)
-        assert exact.mat_mul(a, inv) == [[1, 0], [0, 1]]
-
     def test_singular_raises(self):
-        with pytest.raises(ValueError):
-            exact.rational_inverse([[1, 2], [2, 4]])
+        with pytest.raises(ValueError, match="not unique"):
+            exact.solve_unique([[1, 2], [2, 4]], [1, 2])
 
     def test_non_square_inverse_raises(self):
-        # a 2×3 matrix has no two-sided inverse, even though it has full rank
-        with pytest.raises(ValueError, match="not square"):
-            exact.rational_inverse([[1, 0, 0], [0, 1, 0]])
+        # a 2×3 matrix has full rank but no inverse: a·x = b has many solutions
+        with pytest.raises(ValueError, match="not unique"):
+            exact.solve_unique([[1, 0, 0], [0, 1, 0]], [1, 1])
 
     def test_solve_unique(self):
         x = exact.solve_unique([[2, 0], [0, 3], [1, 1]], [4, 9, 5])

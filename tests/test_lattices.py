@@ -33,7 +33,7 @@ class TestTypes:
         g = FiniteAbelianGroup((1, 2, 4))
         assert g.invariant_factors == (2, 4)
         assert g.order == 8
-        assert g.exponent == 4
+        assert g.invariant_factors[-1] == 4
 
     def test_snf_wrapper(self):
         left, facs, right, _ = exact.smith_normal_form([[2, 4], [6, 8]])

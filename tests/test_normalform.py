@@ -48,14 +48,6 @@ class TestPolynomials:
         assert monomial_weight(Y2) == 6
         assert monomial_weight((1, 0, 2, 2)) == 6
 
-    def test_arithmetic(self):
-        p = weierstrass(1, 0)
-        q = weierstrass(0, 1)
-        s = p + q
-        assert s.coefficient(Y2) == -2
-        assert s.coefficient(XZ4) == 1
-        assert (s - p).coeffs == q.coeffs
-
     def test_t_part(self):
         p = weierstrass(2, 3, extra={(0, 0, 5, 1): Fraction(7)})
         assert p.t_part(1) == {(0, 0, 5, 1): Fraction(7)}
@@ -175,7 +167,7 @@ class TestReduction:
 
 class TestSlice:
     def test_weights(self):
-        slots = cstar_weights()
+        slots = cstar_weights("g2")
         assert [w for _, _, w in slots] == [1, 2, 2, 3, 3, 4, 4, 5, 6]
         assert [n for n, _, _ in slots] == [
             "a", "b1", "b2", "c1", "c2", "d1", "d2", "e", "f",

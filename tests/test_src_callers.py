@@ -1,15 +1,16 @@
-"""Every public function and method of ``src/istrata`` has a caller.
+"""Every public function, method and dataclass field of ``src/istrata`` is read.
 
-The scan ``ast``-parses each module and collects its module-level functions
-and the methods of its module-level classes whose names do not start with
-an underscore.  Each must be named, as a whole word, somewhere in the
-Python files of ``src/``, ``demos/`` or ``perfbench/`` outside the lines of
-its own definition; tests do not count.  A function that only tests read is
-either deleted or listed in ``ALLOWED`` with its reason.
+The scan ``ast``-parses each module.  A module-level function whose name does
+not start with an underscore must be named, as a whole word, somewhere in the
+Python files of ``src/``, ``demos/`` or ``perfbench/`` outside the lines of its
+own definition.  A public method or property of a module-level class counts
+as called only where ``.name`` appears outside its definition, and a field of
+a dataclass only where ``.name`` appears at all.  Tests do not count.  Code
+that only tests read is either deleted or listed in ``ALLOWED`` with its
+reason.
 
-The check is by name, not by binding: a method with a common name (``scale``,
-``order``) passes as soon as any other use of that word appears, whatever
-object it belongs to.
+The check is by name, not by binding: ``.order`` passes as soon as any object
+has that attribute read, whatever its class.
 """
 
 import ast
@@ -26,17 +27,40 @@ ALLOWED = {
     "roots.highest_root_coefficients": "to be wired into the verify-stratum Niemeier certificate",
     "torelli.exceptional_via_weyl_orbit": "independent oracle for enumerate_exceptional",
     "strata.completed_E8_roots": "independent oracle: explicit E8 completions of rat21 and ell211",
+    "strata.ExtensionMap.psi": "the assembled ψ: Λ → JW₁, checked by acceptance criterion 7",
+    "torelli.ReconstructionResult.orbit": "the nine E[3] translates that acceptance pins",
+    "tori.TorusMorphism.degree": "oracle of kernel_points: the kernel has order |det M|",
+    "tori.TorusPoint.scale": "oracle of kernel_points: spans the kernel from its generators",
 }
 
 
+def _is_dataclass(cls):
+    for d in cls.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
 def _public_defs(tree):
-    """(name, first line, last line) of each public function and method."""
+    """(qualified name, pattern, first line, last line) of each public
+    function, method and dataclass field; a field has no excluded lines."""
     for node in tree.body:
-        members = node.body if isinstance(node, ast.ClassDef) else [node]
-        for f in members:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            yield node.name, rf"\b{node.name}\b", first, node.end_lineno
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for f in node.body:
             if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"):
                 first = min([f.lineno] + [d.lineno for d in f.decorator_list])
-                yield f.name, first, f.end_lineno
+                yield f"{node.name}.{f.name}", rf"\.{f.name}\b", first, f.end_lineno
+            elif (
+                _is_dataclass(node)
+                and isinstance(f, ast.AnnAssign)
+                and isinstance(f.target, ast.Name)
+            ):
+                yield f"{node.name}.{f.target.id}", rf"\.{f.target.id}\b", 0, -1
 
 
 def _uncalled():
@@ -45,8 +69,8 @@ def _uncalled():
     }
     out = set()
     for path in sorted((ROOT / "src" / "istrata").glob("*.py")):
-        for name, first, last in _public_defs(ast.parse(path.read_text())):
-            word = re.compile(rf"\b{re.escape(name)}\b")
+        for name, pattern, first, last in _public_defs(ast.parse(path.read_text())):
+            word = re.compile(pattern)
             named = any(
                 word.search(line)
                 for p, lines in files.items()

@@ -80,7 +80,7 @@ class TestModels:
 class TestLambda:
     def test_one_smith_form_per_matrix(self, monkeypatch):
         # a cold Λ: ξ primitivity, complement, isotropic quotient, root index;
-        # a frame: the duals only (W1 is e₁..e₄, certified without one);
+        # a frame: none (W1 is e₁..e₄, certified without one);
         # weight data: the image and the kernel;
         # the Enriques JW1: two marking kernels and the sum-map kernel;
         # the ell111 JW1: two cover kernels, m_σ and two pair kernels
@@ -91,7 +91,7 @@ class TestLambda:
         assert len(calls) == 4
         calls.clear()
         frame = build_frame("rat21")
-        assert len(calls) == 1
+        assert len(calls) == 0
         calls.clear()
         weight_data(picard_lefschetz(frame, 1))
         assert len(calls) == 2
@@ -214,12 +214,12 @@ class TestExtensionMap:
             m = build_stratum_model(label)
             lam = compute_lambda(label)
             rd = generate_restriction_data(m, 5)
-            extension_map(m, lam, rd)  # raises if ψ(ξ) or ψ(L) ≠ 0
+            extension_map(m, lam, rd, compute_JW1(m))  # raises if ψ(ξ) or ψ(L) ≠ 0
 
     def test_additivity(self):
         m = build_stratum_model("rat11")
         lam = compute_lambda("rat11")
-        psi = extension_map(m, lam, generate_restriction_data(m, 6))
+        psi = extension_map(m, lam, generate_restriction_data(m, 6), compute_JW1(m))
         rng = random.Random(22)
         for _ in range(5):
             a = [rng.randint(-2, 2) for _ in range(24)]

@@ -5,7 +5,7 @@ import pytest
 
 from istrata import torelli
 from istrata.roots import build_En_lattice
-from istrata.tori import RationalTorus
+from istrata.tori import RationalTorus, TorusPoint
 from istrata.torelli import (
     AnticanonicalConfig,
     BoundaryDataset,
@@ -26,7 +26,7 @@ T = RationalTorus(2)
 
 def random_config(rng, n, q=97):
     pts = tuple(
-        T.point([Fraction(rng.randrange(q), q), Fraction(rng.randrange(q), q)])
+        TorusPoint((Fraction(rng.randrange(q), q), Fraction(rng.randrange(q), q)))
         for _ in range(n)
     )
     return AnticanonicalConfig(T, pts)
@@ -50,7 +50,7 @@ class TestPeriodMap:
         # the period map only sees differences and the 3p₁ combination mod E[3]
         rng = random.Random(2)
         cfg = random_config(rng, 6)
-        t = T.point([Fraction(1, 3), Fraction(2, 3)])
+        t = TorusPoint((Fraction(1, 3), Fraction(2, 3)))
         shifted = AnticanonicalConfig(T, tuple(p + t for p in cfg.points))
         assert period_map(shifted).values == period_map(cfg).values
 
@@ -188,7 +188,7 @@ class TestReconstruct111:
     def test_translated_generators_still_equivalent(self):
         ds, desc = gen_fixture("ell111", 6)
         rec = reconstruct_111(ds)
-        t = T.point([Fraction(1, 3), Fraction(1, 3)])
+        t = TorusPoint((Fraction(1, 3), Fraction(1, 3)))
         gens = [
             AnticanonicalConfig(T, tuple(p + t for p in desc["z_configs"][i].points))
             for i in rec.distinguished_pair
