@@ -33,7 +33,7 @@ def main():
                 prod = exact.mat_mul(Ni, Nj)
                 assert all(all(x == 0 for x in row) for row in prod)
         print("  NᵢNⱼ = 0 for all i, j  ✓")
-        _, _, rank, _ = weight_data(operator_sum(ops))
+        rank = weight_data(operator_sum(ops))
         primitive, facs = primitivity_certificate(frame)
         print(f"  rank Im(ΣNᵢ) = {rank}, operator span primitive: {primitive}")
         print(f"  pair-index pattern: {pair_index_pattern(frame)}")

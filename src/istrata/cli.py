@@ -99,7 +99,7 @@ def cmd_roots(args):
 def cmd_monodromy(args):
     frame = build_frame(args.label)
     ops = [picard_lefschetz(frame, i) for i in range(1, frame.k + 1)]
-    _, _, rank, _ = weight_data(operator_sum(ops))
+    rank = weight_data(operator_sum(ops))
     primitive, facs = primitivity_certificate(frame)
     report = {
         "frame": frame.label,

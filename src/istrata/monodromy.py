@@ -4,13 +4,14 @@ The vanishing cycles α̃ᵢ, β̃ᵢ of a one-parameter degeneration span an
 isotropic rank-4 sublattice W₁ of a rank-8 model U⁴ (the remaining rank-24
 cohomology is orthogonal and killed by every Nᵢ, so it is omitted here).
 Basis order is (e₁, e₂, e₃, e₄, f₁, f₂, f₃, f₄) with eᵢ·fᵢ = 1; all cycles
-live in the e-span, so W₁ is the first four coordinates.
+live in the e-span, so W₁ is the first four coordinates.  The markings
+JDᵢ = J(Im Nᵢ) → JW₁ = J(W₁) and their pair indices are read off the cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from itertools import combinations
 
 from . import exact
 
@@ -133,21 +134,10 @@ def operator_sum(ops):
 
 
 def weight_data(N):
-    """(saturated image basis, kernel basis, rank, image_was_saturated).
-
-    Requires N² = 0; verifies Im ⊆ Ker.
-    """
+    """Rank of Im N.  Requires N² = 0, which already gives Im N ⊆ Ker N."""
     if any(any(row) for row in exact.mat_mul(N, N)):
         raise ValueError("operator does not square to zero")
-    nonzero = [c for c in exact.transpose(N) if not exact.is_zero_vector(c)]
-    _, facs, _, w = exact.smith_normal_form(nonzero)
-    im = w[:len(facs)]
-    was_saturated = all(f == 1 for f in facs)
-    ker = exact.integer_kernel(N)
-    for v in im:
-        if not exact.is_zero_vector(exact.mat_vec(N, v)):
-            raise exact.VerificationError("Im not inside Ker")
-    return im, ker, len(im), was_saturated
+    return len(exact.invariant_factors(N))
 
 
 def primitivity_certificate(frame):
@@ -164,23 +154,32 @@ def primitivity_certificate(frame):
     return is_primitive, facs
 
 
-def pair_index_pattern(frame):
-    """Sorted list of indices [W₁ : Im Nᵢ + Im Nⱼ] over unordered pairs.
+def jw1_markings(frame):
+    """The marking JDᵢ = J(Im Nᵢ) → JW₁ = J(W₁) of each curve: Fᵢ, the e-block
+    of (α̃ᵢ | β̃ᵢ), as a 4×2 integer matrix (column convention)."""
+    return tuple(tuple(zip(a[:4], b[:4])) for a, b in zip(frame.alphas, frame.betas))
 
-    W₁ is primitive of rank 4 (``_check_frame``), so a rank-4 span inside it
-    has index equal to the product of its invariant factors in ℤ⁸.
+
+def pair_indices(frame):
+    """((i, j), [W₁ : Im Nᵢ + Im Nⱼ]) for each pair i < j, in ``combinations``
+    order; the index is also the kernel order of JDᵢ ⊕ JDⱼ → JW₁.
+
+    Every cycle lies in W₁ = ⟨e₁..e₄⟩ (``_check_frame``), so the index is
+    |det(Fᵢ | Fⱼ)|.  A nonzero determinant also certifies each marking Fᵢ
+    injective.
     """
+    fs = jw1_markings(frame)
+    out = []
+    for i, j in combinations(range(frame.k), 2):
+        det = exact.det_bareiss([list(r + t) for r, t in zip(fs[i], fs[j])])
+        if det == 0:
+            raise ValueError("Im Nᵢ + Im Nⱼ is not of rank 4")
+        out.append(((i, j), abs(det)))
+    return tuple(out)
+
+
+def pair_index_pattern(frame):
+    """Sorted list of the indices [W₁ : Im Nᵢ + Im Nⱼ] of ``pair_indices``."""
     if frame.k < 2:
         raise ValueError("pattern needs k ≥ 2")
-    out = []
-    for i in range(frame.k):
-        for j in range(i + 1, frame.k):
-            span = [
-                list(frame.alphas[i]), list(frame.betas[i]),
-                list(frame.alphas[j]), list(frame.betas[j]),
-            ]
-            facs = exact.invariant_factors(span)
-            if len(facs) != 4:
-                raise ValueError("Im Nᵢ + Im Nⱼ is not of rank 4")
-            out.append(prod(facs))
-    return sorted(out)
+    return sorted(idx for _, idx in pair_indices(frame))

@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
 from math import lcm
 
 from . import exact
@@ -30,6 +29,7 @@ from .lattices import (
     orthogonal_complement,
     quotient_by_isotropic,
 )
+from .monodromy import jw1_markings
 from .roots import (
     build_En_lattice,
     decompose_root_system,
@@ -37,13 +37,7 @@ from .roots import (
     fundamental_weight,
     weight_self_pairing,
 )
-from .tori import (
-    RationalTorus,
-    TorusMorphism,
-    TorusPoint,
-    kernel_points,
-    stack_via_sum,
-)
+from .tori import RationalTorus, TorusMorphism, TorusPoint
 
 STRATUM_LABELS = ("rat11", "rat21", "rat22", "enriques", "ell211", "ell111")
 
@@ -390,94 +384,12 @@ class JW1Data:
     markings: tuple  # TorusMorphism JDᵢ → JW₁ per double curve
 
 
-ENRIQUES_ETA = (Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(0))
-
-_I1 = ((1, 0), (0, 1), (0, 0), (0, 0))
-_I2 = ((0, 0), (0, 0), (1, 0), (0, 1))
-# matrices of the markings JDᵢ → JW₁, one per double curve
-_MARKINGS = {
-    "rat11": (_I1, _I2),
-    "rat21": (_I1, _I2),
-    "rat22": (_I1, _I2),
-    "enriques": (((2, 0), (0, 1), (-1, 0), (0, 0)), _I2),
-    "ell111": (_I1, _I2, ((-2, 0), (0, -1), (-1, 0), (0, -2))),
-    "ell211": (_I1, _I2, ((-2, 0), (0, -1), (-1, 0), (0, -1))),
-}
-
-
-def compute_JW1(model):
-    """JW₁ with the inclusion morphisms of the double-curve Jacobians.
-
-    The markings are closed-form matrices.  rational strata: JW₁ = JD₁ ⊕ JD₂
-    with the coordinate inclusions.  Enriques: JW₁ = (JD₁ ⊕ JD₂)/⟨η⟩ for the
-    2-torsion η = ENRIQUES_ETA, nonzero in both factors; `_check_enriques`
-    certifies that the sum map of the two markings has kernel ⟨η⟩.  ell111:
-    JΓ₁ ⊕ JΓ₂ with the section marking −(c₁ ⊕ c₂) for the covers
-    cᵢ: JB → JΓᵢ, certified by `_check_ell111`.  ell211: JΓ ⊕ JB with two
-    JB markings differing by the pullback isogeny.
-    """
-    label = model.stratum
+def compute_JW1(frame):
+    """JW₁ = J(W₁) with the markings JDᵢ = J(Im Nᵢ) → JW₁ read off the
+    monodromy frame: the e-blocks Fᵢ of `monodromy.jw1_markings`.  The kernel
+    orders of their pair sum maps are `monodromy.pair_indices`."""
     jd, jw1 = RationalTorus(2), RationalTorus(4)
-    markings = tuple(TorusMorphism(jd, jw1, m) for m in _MARKINGS[label])
-    if label == "enriques":
-        _check_enriques(markings)
-    elif label == "ell111":
-        _check_ell111(markings)
-    return JW1Data(jw1, markings)
-
-
-def _check_enriques(markings):
-    """Certify the Enriques markings (ι₁, ι₂): each is injective, and the sum
-    map JD₁ ⊕ JD₂ → JW₁, of equal rank, has kernel ⟨η⟩, η = ENRIQUES_ETA.
-    So it is the projection onto (JD₁ ⊕ JD₂)/⟨η⟩, and ιᵢ its restrictions.
-    """
-    if any(kernel_points(m)[0].order != 1 for m in markings):
-        raise exact.VerificationError("Enriques marking JDᵢ → JW₁ not injective")
-    grp, gens = kernel_points(stack_via_sum(*markings))
-    if grp.order != 2 or gens[0].coords != ENRIQUES_ETA:
-        raise exact.VerificationError("JD₁ ⊕ JD₂ → JW₁ kernel is not ⟨η⟩")
-
-
-def _check_ell111(markings):
-    """Certify the (1,1,1) markings (ι₁, ι₂, m_σ) against the double covers
-    c₁ = diag(2, 1), c₂ = diag(1, 2): JB → JΓᵢ, with Jσ ≅ JB.
-
-    JW₁ is the cokernel of the diagonal (c₁, c₂, id): JB → JΓ₁ ⊕ JΓ₂ ⊕ Jσ.
-    The diagonal has an identity block, so it is primitive.  With ι₁, ι₂
-    the coordinate inclusions, the sum map (ι₁, ι₂, m_σ) is onto with a
-    primitive rank-2 kernel, so it is that cokernel iff it kills the
-    diagonal: ι₁c₁ + ι₂c₂ + m_σ = 0.
-    """
-    jd = RationalTorus(2)
-    c1 = TorusMorphism(jd, jd, ((2, 0), (0, 1)))  # JB → JΓ₁
-    c2 = TorusMorphism(jd, jd, ((1, 0), (0, 2)))  # JB → JΓ₂
-    half = Fraction(1, 2)
-    for c, gen, name in ((c1, (half, 0), "JΓ₁ is not ⟨(1/2, 0)⟩"),
-                         (c2, (0, half), "JΓ₂ is not ⟨(0, 1/2)⟩")):
-        grp, gens = kernel_points(c)
-        if grp.order != 2 or gens[0].coords != gen:
-            raise exact.VerificationError(f"ker(JB → {name}")
-    i1, i2, m_sigma = markings
-    if kernel_points(m_sigma)[0].order != 1:
-        raise exact.VerificationError("marking Jσ → JW₁ not injective")
-    for m in (i1, i2):
-        if kernel_points(stack_via_sum(m, m_sigma))[0].order != 2:
-            raise exact.VerificationError("JΓᵢ ⊕ Jσ → JW₁ kernel is not of order 2")
-    relation = [
-        [a + b + s for a, b, s in zip(r1, r2, rs)]
-        for r1, r2, rs in zip(i1.compose(c1).matrix, i2.compose(c2).matrix, m_sigma.matrix)
-    ]
-    if any(any(row) for row in relation):
-        raise exact.VerificationError("ι₁c₁ + ι₂c₂ + m_σ ≠ 0: JW₁ is not the cokernel")
-
-
-def marking_pair_indices(jw1_data):
-    """((i, j), kernel order of JDᵢ ⊕ JDⱼ → JW₁) for each unordered pair."""
-    ms = jw1_data.markings
-    return tuple(
-        ((i, j), kernel_points(stack_via_sum(ms[i], ms[j]))[0].order)
-        for i, j in combinations(range(len(ms)), 2)
-    )
+    return JW1Data(jw1, tuple(TorusMorphism(jd, jw1, m) for m in jw1_markings(frame)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .exact import VerificationError
-from .monodromy import build_frame, pair_index_pattern
+from .monodromy import build_frame, pair_indices
 from .roots import build_En_lattice, weyl_reflect
 from .strata import (
     STRATUM_LABELS,
@@ -22,7 +22,6 @@ from .strata import (
     compute_lambda,
     extension_map,
     generate_restriction_data,
-    marking_pair_indices,
 )
 from .tori import RationalTorus, TorusPoint, n_torsion
 
@@ -225,7 +224,8 @@ def gen_fixture(label, seed):
     model = build_stratum_model(label)
     lam = compute_lambda(label)
     frame = build_frame(label)
-    jw1 = compute_JW1(model)
+    pairs = pair_indices(frame)
+    jw1 = compute_JW1(frame)
     restriction = generate_restriction_data(model, seed)
     psi = extension_map(model, lam, restriction, jw1)
     if label == "ell111":
@@ -254,10 +254,10 @@ def gen_fixture(label, seed):
         )
     ds = BoundaryDataset(
         k=model.k,
-        pair_pattern=tuple(pair_index_pattern(frame)),
+        pair_pattern=tuple(sorted(idx for _, idx in pairs)),
         root_label=lam.root_data.label,
         summands=tuple(summands),
-        jw1_pair_indices=marking_pair_indices(jw1),
+        jw1_pair_indices=pairs,
     )
     descriptor = {
         "stratum": label,

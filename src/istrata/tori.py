@@ -3,10 +3,8 @@
 A torus of rank g is ℝ^g/ℤ^g; `RationalTorus` carries only g.  A rational
 point is a `TorusPoint` built from its coordinates, Fractions reduced into
 [0, 1).  Morphisms are integer matrices in the column convention
-(x ↦ M·x), applied by `TorusMorphism.apply`.  A quotient by a finite
-subgroup F is written as its projection matrix and certified by
-`kernel_points` returning F, as `strata.compute_JW1` does for the Enriques
-JW₁.
+(x ↦ M·x), applied by `TorusMorphism.apply`.  `kernel_points` returns the
+finite kernel of a ℚ-injective morphism.
 """
 
 from __future__ import annotations
@@ -87,13 +85,6 @@ class TorusMorphism:
     def apply(self, p):
         return TorusPoint(tuple(exact.mat_vec(self.matrix, p.coords)))
 
-    def compose(self, inner):
-        """self ∘ inner."""
-        if inner.target != self.source:
-            raise ValueError("morphisms not composable")
-        m = exact.mat_mul([list(r) for r in self.matrix], [list(r) for r in inner.matrix])
-        return TorusMorphism(inner.source, self.target, tuple(tuple(r) for r in m))
-
     def degree(self):
         """|det M| for a self-rank isogeny (0 means not an isogeny)."""
         if self.source.rank != self.target.rank:
@@ -102,7 +93,7 @@ class TorusMorphism:
 
 
 # ---------------------------------------------------------------------------
-# torsion, kernels, sum maps
+# torsion and kernels
 
 
 def n_torsion(T, n):
@@ -128,12 +119,3 @@ def kernel_points(f):
         for i, di in enumerate(facs) if di > 1
     ]
     return FiniteAbelianGroup(tuple(facs)), gens
-
-
-def stack_via_sum(f, g):
-    """(x, y) ↦ f(x) + g(y): the sum map on a direct-sum source."""
-    if f.target != g.target:
-        raise ValueError("sum map needs a common target")
-    src = RationalTorus(f.source.rank + g.source.rank)
-    m = [list(a) + list(b) for a, b in zip(f.matrix, g.matrix)]
-    return TorusMorphism(src, f.target, tuple(tuple(r) for r in m))

@@ -157,7 +157,7 @@ def test_criterion_5_monodromy_identities():
                 y = [rng.randint(-4, 4) for _ in range(8)]
                 nx, ny = exact.mat_vec(N, x), exact.mat_vec(N, y)
                 assert exact.dot_gram(nx, U4_GRAM, y) + exact.dot_gram(x, U4_GRAM, ny) == 0
-        _, _, rank, _ = weight_data(operator_sum(ops))
+        rank = weight_data(operator_sum(ops))
         assert rank == 4
         primitive, facs = primitivity_certificate(frame)
         assert primitive and facs == [1] * frame.k
@@ -182,7 +182,8 @@ def test_criterion_7_extension_map_structure(seed):
         assert torelli.gen_fixture(label, seed)[0].single_factor_count() == single
     model = build_stratum_model("enriques")
     lam = compute_lambda("enriques")
-    psi = extension_map(model, lam, generate_restriction_data(model, seed), compute_JW1(model))
+    jw1 = compute_JW1(build_frame("enriques"))
+    psi = extension_map(model, lam, generate_restriction_data(model, seed), jw1)
     rng = random.Random(seed)
     a = [rng.randint(-2, 2) for _ in range(24)]
     b = [rng.randint(-2, 2) for _ in range(24)]

@@ -11,6 +11,7 @@ from istrata.monodromy import (
     build_frame,
     operator_sum,
     pair_index_pattern,
+    pair_indices,
     picard_lefschetz,
     primitivity_certificate,
     weight_data,
@@ -161,30 +162,28 @@ class TestOperators:
 
 
 class TestWeightData:
+    # weight_data returns only the rank; the kernels come from the Smith form
     def test_full_sum_rank4(self):
         for kind in FRAME_KINDS:
             f = build_frame(kind)
             N = operator_sum(frame_ops(f))
-            im, ker, rank, _ = weight_data(N)
-            assert rank == 4
-            assert len(ker) == 4
+            assert weight_data(N) == 4
+            assert len(exact.integer_kernel(N)) == 4
 
     def test_single_operator_rank2(self):
         f = build_frame("rational")
-        im, ker, rank, sat = weight_data(picard_lefschetz(f, 1))
-        assert rank == 2
+        assert weight_data(picard_lefschetz(f, 1)) == 2
 
     def test_zero_operator(self):
-        im, ker, rank, _ = weight_data(((0,) * 8,) * 8)
-        assert rank == 0 and len(ker) == 8
+        zero = ((0,) * 8,) * 8
+        assert weight_data(zero) == 0
+        assert len(exact.integer_kernel(zero)) == 8
 
     def test_kernel_is_intersection(self):
         for kind in FRAME_KINDS:
             f = build_frame(kind)
             ops = frame_ops(f)
-            N = operator_sum(ops)
-            _, ker, _, _ = weight_data(N)
-            for v in ker:
+            for v in exact.integer_kernel(operator_sum(ops)):
                 for Ni in ops:
                     assert not any(apply(Ni, v))
 
@@ -216,6 +215,22 @@ class TestPattern:
         assert pair_index_pattern(build_frame("enriques")) == [2]
         assert pair_index_pattern(build_frame("ell111")) == [1, 2, 2]
         assert pair_index_pattern(build_frame("ell211")) == [1, 1, 2]
+
+    def test_pair_indices_in_combinations_order(self):
+        assert pair_indices(build_frame("enriques")) == (((0, 1), 2),)
+        assert pair_indices(build_frame("ell111")) == (
+            ((0, 1), 1), ((0, 2), 2), ((1, 2), 2),
+        )
+        assert pair_indices(build_frame("ell211")) == (
+            ((0, 1), 1), ((0, 2), 1), ((1, 2), 2),
+        )
+
+    def test_dependent_pair_rejected(self):
+        # (α̃₁, β̃₁) repeated as the second pair spans only rank 2
+        f = build_frame("rational")
+        g = dataclasses.replace(f, alphas=(f.alphas[0],) * 2, betas=(f.betas[0],) * 2)
+        with pytest.raises(ValueError, match="rank 4"):
+            pair_indices(g)
 
     def test_label_permutation_invariance(self):
         # permuting the (α̃ᵢ, β̃ᵢ) pairs leaves the multiset unchanged

@@ -7,12 +7,10 @@ import pytest
 
 from istrata import exact
 from istrata.lattices import lattice_predicates
-from istrata.monodromy import build_frame, picard_lefschetz, weight_data
+from istrata.monodromy import build_frame, pair_indices, picard_lefschetz, weight_data
 from istrata.roots import _ade_label, enumerate_roots
 from istrata.strata import (
     STRATUM_LABELS,
-    _check_enriques,
-    _check_ell111,
     beta11_weight_crosscheck,
     build_stratum_model,
     completed_E8_roots,
@@ -22,11 +20,10 @@ from istrata.strata import (
     extension_map,
     generate_restriction_data,
     lambda_predicates,
-    marking_pair_indices,
     rat22_class_solve,
 )
 from istrata.torelli import gen_fixture
-from istrata.tori import RationalTorus, TorusMorphism
+from istrata.tori import RationalTorus, TorusMorphism, kernel_points
 
 EXPECTED_ROOTS = {
     "rat11": ("E8+E8+E8", 720, 1),
@@ -81,9 +78,9 @@ class TestLambda:
     def test_one_smith_form_per_matrix(self, monkeypatch):
         # a cold Λ: ξ primitivity, complement, isotropic quotient, root index;
         # a frame: none (W1 is e₁..e₄, certified without one);
-        # weight data: the image and the kernel;
-        # the Enriques JW1: two marking kernels and the sum-map kernel;
-        # the ell111 JW1: two cover kernels, m_σ and two pair kernels
+        # weight data: the rank of N;
+        # JW1 and its pair indices: none (markings and determinants off the
+        # frame)
         calls = []
         snf = exact.smith_normal_form
         monkeypatch.setattr(exact, "smith_normal_form", lambda a: calls.append(a) or snf(a))
@@ -94,12 +91,13 @@ class TestLambda:
         assert len(calls) == 0
         calls.clear()
         weight_data(picard_lefschetz(frame, 1))
-        assert len(calls) == 2
-        for label, count in (("enriques", 3), ("ell111", 5)):
-            model = build_stratum_model(label)
+        assert len(calls) == 1
+        for label in STRATUM_LABELS:
+            frame = build_frame(label)
             calls.clear()
-            compute_JW1(model)
-            assert len(calls) == count
+            compute_JW1(frame)
+            pair_indices(frame)
+            assert len(calls) == 0
 
     def test_predicates_all_strata(self):
         for label in STRATUM_LABELS:
@@ -173,39 +171,27 @@ class TestLozenge:
 class TestJW1:
     def test_degrees(self):
         for label in STRATUM_LABELS:
-            jw = compute_JW1(build_stratum_model(label))
+            jw = compute_JW1(build_frame(label))
             assert jw.torus.rank == 4
 
     def test_marking_patterns(self):
-        for label, pattern in [
-            ("rat11", [1]), ("rat22", [1]), ("enriques", [2]),
-            ("ell111", [1, 2, 2]), ("ell211", [1, 1, 2]),
+        # kernel_points is the oracle: the kernel order of each pair sum map
+        # is the pair index [W₁ : Im Nᵢ + Im Nⱼ], position by position
+        for label, indices in [
+            ("rat11", (1,)), ("rat22", (1,)), ("enriques", (2,)),
+            ("ell111", (1, 2, 2)), ("ell211", (1, 1, 2)),
         ]:
-            jw = compute_JW1(build_stratum_model(label))
-            assert sorted(order for _, order in marking_pair_indices(jw)) == pattern
-
-    def test_ell111_cokernel_certificate(self):
-        # m_σ = +(c₁ ⊕ c₂) passes every kernel check; only ι₁c₁ + ι₂c₂ + m_σ = 0
-        # tells it apart from the true cokernel marking −(c₁ ⊕ c₂)
-        jd, jw = RationalTorus(2), RationalTorus(4)
-        i1, i2, m_sigma = compute_JW1(build_stratum_model("ell111")).markings
-        _check_ell111((i1, i2, m_sigma))
-        plus = TorusMorphism(jd, jw, ((2, 0), (0, 1), (1, 0), (0, 2)))
-        with pytest.raises(exact.VerificationError, match="cokernel"):
-            _check_ell111((i1, i2, plus))
-
-    def test_enriques_quotient_certificate(self):
-        # the sum map of the markings must have kernel exactly ⟨η⟩
-        jd, jw = RationalTorus(2), RationalTorus(4)
-        i1, i2 = compute_JW1(build_stratum_model("enriques")).markings
-        _check_enriques((i1, i2))
-        for corrupt, match in [
-            (((1, 0), (0, 1), (0, 0), (0, 0)), "not ⟨η⟩"),  # no quotient at all
-            (((1, 0), (0, 2), (0, -1), (0, 0)), "not ⟨η⟩"),  # ⟨(0, 1/2, 1/2, 0)⟩
-            (((2, 0), (0, 1), (0, 0), (0, 0)), "not injective"),
-        ]:
-            with pytest.raises(exact.VerificationError, match=match):
-                _check_enriques((TorusMorphism(jd, jw, corrupt), i2))
+            frame = build_frame(label)
+            ms = compute_JW1(frame).markings
+            pairs = pair_indices(frame)
+            assert tuple(idx for _, idx in pairs) == indices
+            for (i, j), idx in pairs:
+                # the sum map JDᵢ ⊕ JDⱼ → JW₁, (x, y) ↦ Fᵢx + Fⱼy
+                rows = tuple(r + t for r, t in zip(ms[i].matrix, ms[j].matrix))
+                sum_map = TorusMorphism(RationalTorus(4), RationalTorus(4), rows)
+                assert kernel_points(sum_map)[0].order == idx
+            for m in ms:
+                assert kernel_points(m)[0].order == 1
 
 
 class TestExtensionMap:
@@ -214,12 +200,14 @@ class TestExtensionMap:
             m = build_stratum_model(label)
             lam = compute_lambda(label)
             rd = generate_restriction_data(m, 5)
-            extension_map(m, lam, rd, compute_JW1(m))  # raises if ψ(ξ) or ψ(L) ≠ 0
+            # raises if ψ(ξ) or ψ(L) ≠ 0
+            extension_map(m, lam, rd, compute_JW1(build_frame(label)))
 
     def test_additivity(self):
         m = build_stratum_model("rat11")
         lam = compute_lambda("rat11")
-        psi = extension_map(m, lam, generate_restriction_data(m, 6), compute_JW1(m))
+        rd = generate_restriction_data(m, 6)
+        psi = extension_map(m, lam, rd, compute_JW1(build_frame("rat11")))
         rng = random.Random(22)
         for _ in range(5):
             a = [rng.randint(-2, 2) for _ in range(24)]
