@@ -4,9 +4,12 @@ Each model is pure lattice-and-class data for a normal crossing surface
 X₀ = Ỹ ⨿_{Dᵢ} (⨿ Zᵢ): the H² lattice of the minimal resolution Ỹ with its
 double-curve classes Dᵢ and limit canonical class L, glued to del Pezzo
 components Zᵢ along anticanonical curves.  From this the module computes
-the rank-24 graded piece Λ = {ξ₁..ξ_k, [L]}⊥ / Σℤξᵢ, the Jacobian JW₁ with
-its marked subtori, the Carlson extension map ψ on seeded generic
-restriction data, and the distinguished class β₁₁ of the (2,2) stratum.
+the rank-24 graded piece Λ = {ξ₁..ξ_k, [L]}⊥ / Σℤξᵢ, the markings of JW₁
+read off the monodromy frame, the Carlson extension map ψ on seeded
+generic restriction data, and the distinguished class β₁₁ of the (2,2)
+stratum.  Models and Λ are built once per label.  ψ is plain data: per
+curve an integer 2×24 matrix Mᵢ on Λ coordinates and a denominator dᵢ,
+with ψᵢ(λ) = Mᵢλ/dᵢ mod ℤ².
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .roots import (
     fundamental_weight,
     weight_self_pairing,
 )
-from .tori import RationalTorus, TorusMorphism, TorusPoint
+from .tori import TorusPoint
 
 STRATUM_LABELS = ("rat11", "rat21", "rat22", "enriques", "ell211", "ell111")
 
@@ -257,8 +260,10 @@ _BUILDERS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_stratum_model(label):
-    """Explicit glued model for a stratum label; all invariants verified."""
+    """Explicit glued model for a stratum label; all invariants verified;
+    cached."""
     if label not in _BUILDERS:
         raise ValueError(f"unknown stratum label {label!r}")
     yt, zs = _BUILDERS[label]()
@@ -314,10 +319,6 @@ class LambdaLattice:
     projection: tuple  # 24×rank(T): Λ coords of a T vector
     root_data: object  # RootDecomposition
     root_index: int  # [Λ : Λ_R]
-
-    def lift_to_ambient(self, lam):
-        """Ambient representative of a Λ vector (coset choice fixed by lifts)."""
-        return tuple(exact.vec_mat(lam, self.lifts))
 
     def ambient_to_lambda(self, v):
         """Λ coordinates of an ambient vector lying in {ξ,[L]}⊥ ∩ ℤ-span(T)."""
@@ -378,18 +379,12 @@ def lambda_predicates(label):
 # JW₁ and its marked subtori
 
 
-@dataclass(frozen=True)
-class JW1Data:
-    torus: RationalTorus  # JW₁, rank 4
-    markings: tuple  # TorusMorphism JDᵢ → JW₁ per double curve
-
-
 def compute_JW1(frame):
-    """JW₁ = J(W₁) with the markings JDᵢ = J(Im Nᵢ) → JW₁ read off the
-    monodromy frame: the e-blocks Fᵢ of `monodromy.jw1_markings`.  The kernel
-    orders of their pair sum maps are `monodromy.pair_indices`."""
-    jd, jw1 = RationalTorus(2), RationalTorus(4)
-    return JW1Data(jw1, tuple(TorusMorphism(jd, jw1, m) for m in jw1_markings(frame)))
+    """The markings JDᵢ = J(Im Nᵢ) → JW₁ = J(W₁) read off the monodromy
+    frame: the 4×2 integer e-blocks Fᵢ of `monodromy.jw1_markings`, in the
+    column convention.  The kernel orders of their pair sum maps are
+    `monodromy.pair_indices`."""
+    return jw1_markings(frame)
 
 
 # ---------------------------------------------------------------------------
@@ -465,40 +460,25 @@ def generate_restriction_data(model, seed):
     return RestrictionData(z_points=tuple(z_points), psi_matrices=tuple(psi_matrices))
 
 
-@dataclass(frozen=True)
-class ExtensionMap:
-    """ψ: Λ → JW₁ with its per-curve components."""
+def extension_map(model, lam, restriction):
+    """ψ on Λ coordinates: one (Mᵢ, dᵢ) per curve, Mᵢ a 2×24 integer matrix
+    with ψᵢ(λ) = Mᵢλ/dᵢ mod ℤ².  Verifies ψ(ξⱼ) = ψ([L]) = 0 identically."""
+    scaled = []
+    for psi in restriction.psi_matrices:
+        d = lcm(*(x.denominator for row in psi for x in row))
+        scaled.append(([[x.numerator * (d // x.denominator) for x in row] for row in psi], d))
 
-    lam: LambdaLattice
-    restriction: RestrictionData
-    jw1: JW1Data
+    def kills(v):
+        return all(t % d == 0 for n, d in scaled for t in exact.mat_vec(n, v))
 
-    def psi_component_ambient(self, v, i):
-        """ψᵢ of an ambient vector in {ξ,[L]}⊥ (0-based curve index)."""
-        return TorusPoint(tuple(exact.mat_vec(self.restriction.psi_matrices[i], v)))
-
-    def psi_component(self, lam_vec, i):
-        return self.psi_component_ambient(self.lam.lift_to_ambient(lam_vec), i)
-
-    def psi(self, lam_vec):
-        """The assembled value in JW₁: Σᵢ ιᵢ(ψᵢ(λ))."""
-        total = self.jw1.torus.zero()
-        for i, m in enumerate(self.jw1.markings):
-            total = total + m.apply(self.psi_component(lam_vec, i))
-        return total
-
-
-def extension_map(model, lam, restriction, jw1):
-    """Assemble ψ and verify ψ(ξᵢ) = ψ([L]) = 0 identically."""
-    psi = ExtensionMap(lam=lam, restriction=restriction, jw1=jw1)
-    for x in model.xi:
-        for i in range(model.k):
-            if not psi.psi_component_ambient(list(x), i).is_zero():
-                raise exact.VerificationError("ψ does not kill ξ")
-    for i in range(model.k):
-        if not psi.psi_component_ambient(list(model.l_total), i).is_zero():
-            raise exact.VerificationError("ψ does not kill [L]")
-    return psi
+    if not all(kills(x) for x in model.xi):
+        raise exact.VerificationError("ψ does not kill ξ")
+    if not kills(model.l_total):
+        raise exact.VerificationError("ψ does not kill [L]")
+    # row r of Mᵢ = Nᵢ·liftsᵀ is lifts·(row r of Nᵢ)
+    return tuple(
+        (tuple(tuple(exact.mat_vec(lam.lifts, row)) for row in n), d) for n, d in scaled
+    )
 
 
 # ---------------------------------------------------------------------------

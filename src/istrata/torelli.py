@@ -10,15 +10,15 @@ pair-index pattern, ψ block structure) and names the boundary stratum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import isqrt
 
-from .exact import VerificationError
+from .exact import VerificationError, mat_vec
 from .monodromy import build_frame, pair_indices
 from .roots import build_En_lattice, weyl_reflect
 from .strata import (
     STRATUM_LABELS,
     build_stratum_model,
-    compute_JW1,
     compute_lambda,
     extension_map,
     generate_restriction_data,
@@ -225,9 +225,8 @@ def gen_fixture(label, seed):
     lam = compute_lambda(label)
     frame = build_frame(label)
     pairs = pair_indices(frame)
-    jw1 = compute_JW1(frame)
     restriction = generate_restriction_data(model, seed)
-    psi = extension_map(model, lam, restriction, jw1)
+    psi = extension_map(model, lam, restriction)
     if label == "ell111":
         # the κ⊥ bases of the three dP1 components, in the exceptional-basis
         # order that keys the stored ψ values directly to the period map
@@ -240,8 +239,11 @@ def gen_fixture(label, seed):
     summands = []
     for lbl, simples in summand_bases:
         flags, points = [], []
-        for i in range(model.k):
-            vals = tuple(psi.psi_component(list(s), i) for s in simples)
+        for m, d in psi:
+            # ψᵢ(s) = Mᵢs/dᵢ on each simple root s
+            vals = tuple(
+                TorusPoint(tuple(Fraction(t, d) for t in mat_vec(m, s))) for s in simples
+            )
             flags.append(all(v.is_zero() for v in vals))
             points.append(vals)
         summands.append(

@@ -2,9 +2,9 @@
 
 A torus of rank g is ℝ^g/ℤ^g; `RationalTorus` carries only g.  A rational
 point is a `TorusPoint` built from its coordinates, Fractions reduced into
-[0, 1).  Morphisms are integer matrices in the column convention
-(x ↦ M·x), applied by `TorusMorphism.apply`.  `kernel_points` returns the
-finite kernel of a ℚ-injective morphism.
+[0, 1).  A morphism is a plain integer g′×g matrix M in the column
+convention (x ↦ M·x).  `kernel_points` returns the finite kernel of a
+ℚ-injective one.
 """
 
 from __future__ import annotations
@@ -63,35 +63,6 @@ class RationalTorus:
         return TorusPoint((Fraction(0),) * self.rank)
 
 
-@dataclass(frozen=True)
-class TorusMorphism:
-    source: RationalTorus
-    target: RationalTorus
-    matrix: tuple  # target.rank × source.rank, column convention
-
-    def __post_init__(self):
-        m = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
-        if len(m) != self.target.rank or any(
-            len(row) != self.source.rank for row in m
-        ):
-            raise ValueError("matrix shape mismatch")
-        # M·ℤ^g ⊆ ℤ^{g'} forces integer entries (apply to unit vectors)
-        for row in m:
-            for x in row:
-                if x.denominator != 1:
-                    raise ValueError("morphism matrix must carry ℤ^g into ℤ^g'")
-        object.__setattr__(self, "matrix", tuple(tuple(int(x) for x in row) for row in m))
-
-    def apply(self, p):
-        return TorusPoint(tuple(exact.mat_vec(self.matrix, p.coords)))
-
-    def degree(self):
-        """|det M| for a self-rank isogeny (0 means not an isogeny)."""
-        if self.source.rank != self.target.rank:
-            raise ValueError("degree defined only for equal ranks")
-        return abs(exact.det_bareiss([list(r) for r in self.matrix]))
-
-
 # ---------------------------------------------------------------------------
 # torsion and kernels
 
@@ -104,14 +75,15 @@ def n_torsion(T, n):
     return [TorusPoint(c) for c in itertools.product(fracs, repeat=T.rank)]
 
 
-def kernel_points(f):
-    """Finite kernel {x : M x ∈ ℤ^{g'}}/ℤ^g of a ℚ-injective morphism.
+def kernel_points(m):
+    """Finite kernel {x : M x ∈ ℤ^{g'}}/ℤ^g of the morphism given by a
+    ℚ-injective integer g′×g matrix M.
 
     Returns (FiniteAbelianGroup, generators) with one generator per
     nontrivial invariant factor.
     """
-    g = f.source.rank
-    _, facs, v, _ = exact.smith_normal_form([list(r) for r in f.matrix])
+    g = len(m[0])
+    _, facs, v, _ = exact.smith_normal_form([list(r) for r in m])
     if len(facs) < g:
         raise ValueError("morphism not injective over ℚ (kernel infinite)")
     gens = [

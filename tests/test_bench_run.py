@@ -1,0 +1,32 @@
+"""A short benchmark run passes the benchmark's own result checks.
+
+``perfbench/run.py`` checks every op's result (the dataset fields, the
+classifier's answer, the (1,1,1) reconstruction) and exits 1 when one fails
+or raises.  One second per workload is enough to reach every op kind, so a
+program change that breaks what the benchmark reads fails here first.  The
+run writes its full result to the git-ignored ``perfbench/out/``.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "workload, trace", [("fixture-roundtrip", 0), ("fixture-roundtrip", 1), ("cli-cold", 0)]
+)
+def test_short_run_checks_out(workload, trace):
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", "41", "--seconds", "1", "--trace", str(trace),
+    ]
+    r = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stdout[-2000:] + r.stderr[-2000:]
+    last = json.loads(r.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True
+    assert last["failed"] == 0

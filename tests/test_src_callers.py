@@ -30,9 +30,8 @@ ALLOWED = {
     "roots.highest_root_coefficients": "to be wired into the verify-stratum Niemeier certificate",
     "torelli.exceptional_via_weyl_orbit": "independent oracle for enumerate_exceptional",
     "strata.completed_E8_roots": "independent oracle: explicit E8 completions of rat21 and ell211",
-    "strata.ExtensionMap.psi": "the assembled ψ: Λ → JW₁, checked by acceptance criterion 7",
+    "strata.compute_JW1": "the markings that assemble ψ in acceptance criterion 7; the bench contract names it",
     "torelli.ReconstructionResult.orbit": "the nine E[3] translates that acceptance pins",
-    "tori.TorusMorphism.degree": "oracle of kernel_points: the kernel has order |det M|",
     "tori.TorusPoint.scale": "oracle of kernel_points: spans the kernel from its generators",
     "tori.TorusPoint.order": "oracle of kernel_points: each generator has its factor's order",
     "tori.kernel_points": "oracle of the pair indices as kernel orders; the bench contract names it",

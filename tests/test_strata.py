@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -23,7 +25,7 @@ from istrata.strata import (
     rat22_class_solve,
 )
 from istrata.torelli import gen_fixture
-from istrata.tori import RationalTorus, TorusMorphism, kernel_points
+from istrata.tori import TorusPoint, kernel_points
 
 EXPECTED_ROOTS = {
     "rat11": ("E8+E8+E8", 720, 1),
@@ -76,16 +78,18 @@ class TestModels:
 
 class TestLambda:
     def test_one_smith_form_per_matrix(self, monkeypatch):
-        # a cold Λ: ξ primitivity, complement, isotropic quotient, root index;
+        # a cold Λ over the cached model (its ξ primitivity check runs
+        # before counting): complement, isotropic quotient, root index;
         # a frame: none (W1 is e₁..e₄, certified without one);
         # weight data: the rank of N;
         # JW1 and its pair indices: none (markings and determinants off the
         # frame)
+        build_stratum_model("rat21")
         calls = []
         snf = exact.smith_normal_form
         monkeypatch.setattr(exact, "smith_normal_form", lambda a: calls.append(a) or snf(a))
         compute_lambda.__wrapped__("rat21")
-        assert len(calls) == 4
+        assert len(calls) == 3
         calls.clear()
         frame = build_frame("rat21")
         assert len(calls) == 0
@@ -122,7 +126,7 @@ class TestLambda:
             rng = random.Random(21)
             for _ in range(10):
                 v = [rng.randint(-3, 3) for _ in range(24)]
-                amb = lam.lift_to_ambient(v)
+                amb = exact.vec_mat(v, lam.lifts)
                 assert lam.ambient_to_lambda(amb) == tuple(v)
 
     def test_ambient_to_lambda_rejects_vector_outside_complement(self):
@@ -134,8 +138,7 @@ class TestLambda:
     def test_lift_lands_in_complement(self):
         m = build_stratum_model("ell211")
         lam = compute_lambda("ell211")
-        v = [1] + [0] * 23
-        amb = lam.lift_to_ambient(v)
+        amb = lam.lifts[0]
         for x in m.xi:
             assert m.ambient.pairing(amb, x) == 0
         assert m.ambient.pairing(amb, m.l_total) == 0
@@ -170,9 +173,11 @@ class TestLozenge:
 
 class TestJW1:
     def test_degrees(self):
+        # each marking JDᵢ → JW₁ is a 4×2 integer matrix
         for label in STRATUM_LABELS:
-            jw = compute_JW1(build_frame(label))
-            assert jw.torus.rank == 4
+            for f in compute_JW1(build_frame(label)):
+                assert len(f) == 4
+                assert all(len(r) == 2 and all(type(x) is int for x in r) for r in f)
 
     def test_marking_patterns(self):
         # kernel_points is the oracle: the kernel order of each pair sum map
@@ -182,16 +187,28 @@ class TestJW1:
             ("ell111", (1, 2, 2)), ("ell211", (1, 1, 2)),
         ]:
             frame = build_frame(label)
-            ms = compute_JW1(frame).markings
+            ms = compute_JW1(frame)
             pairs = pair_indices(frame)
             assert tuple(idx for _, idx in pairs) == indices
             for (i, j), idx in pairs:
                 # the sum map JDᵢ ⊕ JDⱼ → JW₁, (x, y) ↦ Fᵢx + Fⱼy
-                rows = tuple(r + t for r, t in zip(ms[i].matrix, ms[j].matrix))
-                sum_map = TorusMorphism(RationalTorus(4), RationalTorus(4), rows)
+                sum_map = [r + t for r, t in zip(ms[i], ms[j])]
                 assert kernel_points(sum_map)[0].order == idx
             for m in ms:
                 assert kernel_points(m)[0].order == 1
+
+
+def _psi_point(md, v):
+    """ψᵢ(v) = Mᵢv/dᵢ mod ℤ² for one (Mᵢ, dᵢ) of `extension_map`."""
+    m, d = md
+    return TorusPoint(tuple(Fraction(t, d) for t in exact.mat_vec(m, v)))
+
+
+def _shift_row(rd, i, shift):
+    """`rd` with row 0 of ψᵢ's ambient matrix shifted by `shift`."""
+    psi = [list(map(list, rows)) for rows in rd.psi_matrices]
+    psi[i][0] = [x + y for x, y in zip(psi[i][0], shift)]
+    return dataclasses.replace(rd, psi_matrices=tuple(tuple(map(tuple, r)) for r in psi))
 
 
 class TestExtensionMap:
@@ -201,23 +218,59 @@ class TestExtensionMap:
             lam = compute_lambda(label)
             rd = generate_restriction_data(m, 5)
             # raises if ψ(ξ) or ψ(L) ≠ 0
-            extension_map(m, lam, rd, compute_JW1(build_frame(label)))
+            extension_map(m, lam, rd)
+
+    def test_rejects_psi_not_killing_xi(self):
+        # one entry of ψ₁ shifted by 1/101 on a coordinate where ξ₁ is
+        # nonzero: ψ₁(ξ₁) moves by ξ₁[j]/101, which is not an integer
+        m = build_stratum_model("rat21")
+        rd = generate_restriction_data(m, 5)
+        j = next(j for j, x in enumerate(m.xi[0]) if x)
+        shift = [Fraction(1, 101) if t == j else 0 for t in range(m.ambient.rank)]
+        with pytest.raises(exact.VerificationError, match="does not kill ξ"):
+            extension_map(m, compute_lambda("rat21"), _shift_row(rd, 1, shift))
+
+    def test_rejects_psi_not_killing_L(self):
+        # ψ₁ shifted by ([L]·v)/101: zero on every ξⱼ (ξⱼ·[L] = 0), 1/101
+        # on [L] ([L]² = 1)
+        m = build_stratum_model("ell211")
+        rd = generate_restriction_data(m, 5)
+        gram = m.ambient.gram_lists()
+        shift = [Fraction(x, 101) for x in exact.vec_mat(list(m.l_total), gram)]
+        with pytest.raises(exact.VerificationError, match=r"does not kill \[L\]"):
+            extension_map(m, compute_lambda("ell211"), _shift_row(rd, 1, shift))
+
+    @pytest.mark.parametrize("label", STRATUM_LABELS)
+    def test_integer_psi_matches_fraction_route(self, label):
+        # Mᵢλ/dᵢ against ψᵢ applied in Fractions to the ambient lift of λ
+        m = build_stratum_model(label)
+        lam = compute_lambda(label)
+        rng = random.Random(24)
+        for seed in (0, 7, 123456):
+            rd = generate_restriction_data(m, seed)
+            psi = extension_map(m, lam, rd)
+            assert len(psi) == m.k
+            for (mi, d), fr in zip(psi, rd.psi_matrices):
+                assert d == lcm(*(x.denominator for row in fr for x in row))
+                assert len(mi) == 2
+                assert all(len(r) == 24 and all(type(x) is int for x in r) for r in mi)
+            for _ in range(20):
+                v = [rng.randint(-5, 5) for _ in range(24)]
+                amb = exact.vec_mat(v, lam.lifts)
+                for md, fr in zip(psi, rd.psi_matrices):
+                    assert _psi_point(md, v) == TorusPoint(tuple(exact.mat_vec(fr, amb)))
 
     def test_additivity(self):
         m = build_stratum_model("rat11")
         lam = compute_lambda("rat11")
-        rd = generate_restriction_data(m, 6)
-        psi = extension_map(m, lam, rd, compute_JW1(build_frame("rat11")))
+        psi = extension_map(m, lam, generate_restriction_data(m, 6))
         rng = random.Random(22)
         for _ in range(5):
             a = [rng.randint(-2, 2) for _ in range(24)]
             b = [rng.randint(-2, 2) for _ in range(24)]
             s = [x + y for x, y in zip(a, b)]
-            for i in range(m.k):
-                assert psi.psi_component(s, i) == (
-                    psi.psi_component(a, i) + psi.psi_component(b, i)
-                )
-            assert psi.psi(s) == psi.psi(a) + psi.psi(b)
+            for md in psi:
+                assert _psi_point(md, s) == _psi_point(md, a) + _psi_point(md, b)
 
     def test_degree_consistency(self):
         # λ ⟂ ξᵢ, so its restriction degree to curve i is the same on Ỹ and Zᵢ
@@ -227,7 +280,7 @@ class TestExtensionMap:
         vectors = [[rng.randint(-2, 2) for _ in range(24)] for _ in range(5)]
         vectors += [list(s) for _, simples in lam.root_data.components for s in simples]
         for v in vectors:
-            amb = lam.lift_to_ambient(v)
+            amb = exact.vec_mat(v, lam.lifts)
             for i in range(m.k):
                 dy = m.ambient.pairing(amb, m.embed_y(m.y_tilde.double_curves[i + 1]))
                 dz = m.ambient.pairing(

@@ -135,15 +135,15 @@ class TestClassifier:
             assert desc["stratum"] == label
             assert "rule" in cert
 
-    def test_warm_fixture_runs_one_smith_form(self, monkeypatch):
-        # only the ξ primitivity check of the model; Λ, the Ỹ constraint
-        # columns, JW₁ and the pair indices need none once warm
+    def test_warm_fixture_runs_no_smith_form(self, monkeypatch):
+        # the model and Λ are cached, and the Ỹ constraint columns, ψ and
+        # the pair indices need none once warm
         gen_fixture("ell111", 0)
         calls = []
         snf = exact.smith_normal_form
         monkeypatch.setattr(exact, "smith_normal_form", lambda a: calls.append(a) or snf(a))
         gen_fixture("ell111", 1)
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
