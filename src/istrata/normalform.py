@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exact import VerificationError
 
@@ -45,6 +46,11 @@ class WeightedPolynomial:
 
     def __post_init__(self):
         for exp, c in self.coeffs:
+            # `type(e) is not int` also rejects bool
+            if type(exp) is not tuple or len(exp) != 4 or any(
+                type(e) is not int or e < 0 for e in exp
+            ):
+                raise ValueError(f"exponent {exp!r} is not four nonnegative ints")
             if monomial_weight(exp) != TOTAL_WEIGHT:
                 raise ValueError(
                     f"monomial {_mono_str(exp)} has weight {monomial_weight(exp)}"
@@ -75,8 +81,8 @@ class WeightedPolynomial:
 
 
 def _mul(a, b, bound=None):
-    """Product of two exponent dictionaries.  With `bound`, terms whose
-    exponent exceeds it in some variable are dropped."""
+    """Product of two exponent dictionaries with `int` coefficients.  With
+    `bound`, terms whose exponent exceeds it in some variable are dropped."""
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -85,8 +91,8 @@ def _mul(a, b, bound=None):
                 e[0] > bound[0] or e[1] > bound[1] or e[2] > bound[2] or e[3] > bound[3]
             ):
                 continue
-            out[e] = out[e] + ca * cb if e in out else ca * cb
-    return {e: c for e, c in out.items() if c != 0}
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
 
 
 @dataclass(frozen=True)
@@ -104,53 +110,65 @@ class ChangeOfVariables:
         return cls(alpha=(Fraction(0),) * 2, beta=(Fraction(0),) * 4, gamma=Fraction(0))
 
     def images(self):
-        """The substituted variables as exponent dictionaries."""
+        """(d, [x, y, z, t]): each image as an `int` exponent dictionary, scaled
+        by dʷ for a variable of weight w; d is the lcm of the parameters'
+        denominators."""
         a1, a2 = self.alpha
         b1, b2, b3, b4 = self.beta
         g = self.gamma
-        x = {(1, 0, 0, 0): Fraction(1), (0, 0, 1, 1): Fraction(a1), (0, 0, 0, 2): Fraction(a2)}
+        d = lcm(*[p.denominator for p in (a1, a2, b1, b2, b3, b4, g)])
+        x = {(1, 0, 0, 0): 1, (0, 0, 1, 1): a1, (0, 0, 0, 2): a2}
         y = {
-            (0, 1, 0, 0): Fraction(1),
-            (1, 0, 0, 1): Fraction(b1),
-            (0, 0, 2, 1): Fraction(b2),
-            (0, 0, 1, 2): Fraction(b3),
-            (0, 0, 0, 3): Fraction(b4),
+            (0, 1, 0, 0): 1,
+            (1, 0, 0, 1): b1,
+            (0, 0, 2, 1): b2,
+            (0, 0, 1, 2): b3,
+            (0, 0, 0, 3): b4,
         }
-        z = {(0, 0, 1, 0): Fraction(1), (0, 0, 0, 1): Fraction(g)}
-        t = {(0, 0, 0, 1): Fraction(1)}
-        return (
-            {e: c for e, c in x.items() if c != 0},
-            {e: c for e, c in y.items() if c != 0},
-            z if g != 0 else {(0, 0, 1, 0): Fraction(1)},
-            t,
-        )
+        z = {(0, 0, 1, 0): 1, (0, 0, 0, 1): g}
+        t = {(0, 0, 0, 1): 1}
+        return d, [
+            {e: c.numerator * (d**w // c.denominator) for e, c in img.items() if c}
+            for img, w in zip((x, y, z, t), _W)
+        ]
 
 
 def _substitute(poly, change, target=None):
     """The substituted polynomial as an exponent dictionary.
 
+    Every image term has the weight of the variable it replaces, so with the
+    images of `ChangeOfVariables.images` each substituted monomial carries d⁶:
+    the sum runs on `int`s over dₚ·d⁶ (dₚ the lcm of `poly`'s denominators).
+
     The powers of each image are built once, up to the largest exponent of
     that variable in `poly`.  With `target`, a partial product is dropped as
     soon as one exponent exceeds the target's; every image term has
     nonnegative exponents, so the coefficient of `target` is still exact,
-    while the other entries are not.
+    and only that coefficient is returned.
     """
+    # `*` gets lists, not generators: CPython builds a generator's argument
+    # tuple by resizing, and the resized tuples pile up on its free lists
+    # (3 MB of peak RSS in 1,000 reductions)
+    d, images = change.images()
+    dp = lcm(*[c.denominator for _, c in poly.coeffs])
     tables = []
-    for v, img in enumerate(change.images()):
-        top = max((exp[v] for exp, _ in poly.coeffs), default=0)
-        table = [{(0, 0, 0, 0): Fraction(1)}]
+    for img, top in zip(images, map(max, zip(*[exp for exp, _ in poly.coeffs]))):
+        table = [{(0, 0, 0, 0): 1}]
         for _ in range(top):
             table.append(_mul(table[-1], img, target))
         tables.append(table)
     acc = {}
     for exp, c in poly.coeffs:
-        term = {(0, 0, 0, 0): c}
+        term = {(0, 0, 0, 0): c.numerator * (dp // c.denominator)}
         for table, n in zip(tables, exp):
             if n:
                 term = _mul(term, table[n], target)
-        for e, d in term.items():
-            acc[e] = acc[e] + d if e in acc else d
-    return acc
+        for e, n in term.items():
+            acc[e] = acc.get(e, 0) + n
+    den = dp * d**TOTAL_WEIGHT
+    if target is not None:
+        return {target: Fraction(acc.get(target, 0), den)}
+    return {e: Fraction(n, den) for e, n in acc.items() if n}
 
 
 def apply_change(poly, change):
@@ -226,7 +244,7 @@ def _solve_parameter(poly, target, make_change):
     it, a third certifies affinity, and the slope must be nonzero.
     """
     def probe(u):
-        return _substitute(poly, make_change(Fraction(u)), target).get(target, Fraction(0))
+        return _substitute(poly, make_change(Fraction(u)), target)[target]
 
     c0, c1, c2 = poly.coefficient(target), probe(1), probe(2)
     if c2 - c1 != c1 - c0:
@@ -251,26 +269,17 @@ def reduce_to_standard_form(poly):
     total = ChangeOfVariables.identity()
     current = poly
 
-    def elementary(**kw):
-        base = {"alpha": [Fraction(0)] * 2, "beta": [Fraction(0)] * 4, "gamma": Fraction(0)}
-        for key, (idx, val) in kw.items():
-            if key == "gamma":
-                base["gamma"] = val
-            else:
-                base[key][idx] = val
-        return ChangeOfVariables(
-            alpha=tuple(base["alpha"]), beta=tuple(base["beta"]), gamma=base["gamma"]
-        )
+    def elementary(k, u):
+        """The change whose k-th parameter in (α₁, α₂, β₁, …, β₄, γ) is u."""
+        p = [Fraction(0)] * 7
+        p[k] = u
+        return ChangeOfVariables(alpha=tuple(p[:2]), beta=tuple(p[2:6]), gamma=p[6])
 
     for i, target in enumerate(_BETA_TARGETS):
-        current, ch = _solve_parameter(
-            current, target, lambda u, i=i: elementary(beta=(i, u))
-        )
+        current, ch = _solve_parameter(current, target, lambda u, i=i: elementary(2 + i, u))
         total = compose_changes(total, ch)
     for i, target in enumerate(_ALPHA_TARGETS):
-        current, ch = _solve_parameter(
-            current, target, lambda u, i=i: elementary(alpha=(i, u))
-        )
+        current, ch = _solve_parameter(current, target, lambda u, i=i: elementary(i, u))
         total = compose_changes(total, ch)
     if g2 != 0:
         target, branch = _GAMMA_TARGET_G2, "g2"
@@ -278,9 +287,7 @@ def reduce_to_standard_form(poly):
         target, branch = _GAMMA_TARGET_G3, "g3"
     else:
         raise ValueError("g₂ = g₃ = 0: the fibre is cuspidal, no normal form")
-    current, ch = _solve_parameter(
-        current, target, lambda u: elementary(gamma=(None, u))
-    )
+    current, ch = _solve_parameter(current, target, lambda u: elementary(6, u))
     total = compose_changes(total, ch)
 
     for t in _BETA_TARGETS + _ALPHA_TARGETS + (target,):

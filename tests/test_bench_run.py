@@ -1,9 +1,10 @@
 """A short benchmark run passes the benchmark's own result checks.
 
 ``perfbench/run.py`` checks every op's result (the dataset fields, the
-classifier's answer, the (1,1,1) reconstruction) and exits 1 when one fails
-or raises.  One second per workload is enough to reach every op kind, so a
-program change that breaks what the benchmark reads fails here first.  The
+classifier's answer, the (1,1,1) reconstruction, the normal form on both
+branches) and exits 1 when one fails or raises.  One second per workload is
+enough to reach every op kind, so a program change that breaks what the
+benchmark reads fails here first.  The
 run writes its full result to the git-ignored ``perfbench/out/``.
 """
 
@@ -18,7 +19,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "workload, trace", [("fixture-roundtrip", 0), ("fixture-roundtrip", 1), ("cli-cold", 0)]
+    "workload, trace",
+    [
+        ("fixture-roundtrip", 0),
+        ("fixture-roundtrip", 1),
+        ("cli-cold", 0),
+        ("normal-form", 0),
+        ("normal-form", 1),
+    ],
 )
 def test_short_run_checks_out(workload, trace):
     cmd = [

@@ -44,6 +44,20 @@ class TestPolynomials:
         with pytest.raises(ValueError):
             WeightedPolynomial.from_dict({(1, 1, 0, 0): 1})  # weight 5
 
+    @pytest.mark.parametrize(
+        "exp",
+        [
+            (4, 0, -3, 1),  # weight 6, but z⁻³ is not a monomial
+            (3.0, 0, 0, 0),
+            (True, 0, 4, 0),
+            (0, 2, 0, 0, 0),
+        ],
+        ids=["negative", "float", "bool", "length"],
+    )
+    def test_malformed_exponent_rejected(self, exp):
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            WeightedPolynomial.from_dict({Y2: -1, exp: Fraction(1, 2)})
+
     def test_monomial_weights(self):
         assert monomial_weight(Y2) == 6
         assert monomial_weight((1, 0, 2, 2)) == 6

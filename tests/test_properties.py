@@ -7,8 +7,8 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import isqrt, lcm
+from itertools import combinations, product
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,7 +25,8 @@ from istrata.lattices import (
     orthogonal_complement,
 )
 from istrata.normalform import apply_change, compose_changes, random_deformation
-from istrata.normalform import ChangeOfVariables, _substitute, monomial_weight
+from istrata.normalform import ChangeOfVariables, WeightedPolynomial, _substitute
+from istrata.normalform import monomial_weight, reduce_to_standard_form
 from istrata.roots import _simple_roots, decompose_root_system, enumerate_roots
 from istrata.torelli import gen_fixture
 from istrata.tori import RationalTorus, TorusPoint, kernel_points
@@ -168,6 +169,101 @@ def test_pruned_substitution_matches_full_coefficient(c, seed):
     full = apply_change(p, c)
     for m in WEIGHT6_MONOMIALS:
         assert _substitute(p, c, m).get(m, 0) == full.coefficient(m)
+
+
+def naive_substitution(p, c):
+    """p with x, y, z, t replaced by their images, expanded one factor at a
+    time in `Fraction` arithmetic: an oracle that shares no code with
+    `normalform._mul` or `_substitute`."""
+    a1, a2 = c.alpha
+    b1, b2, b3, b4 = c.beta
+    images = (
+        {(1, 0, 0, 0): 1, (0, 0, 1, 1): a1, (0, 0, 0, 2): a2},
+        {(0, 1, 0, 0): 1, (1, 0, 0, 1): b1, (0, 0, 2, 1): b2, (0, 0, 1, 2): b3, (0, 0, 0, 3): b4},
+        {(0, 0, 1, 0): 1, (0, 0, 0, 1): c.gamma},
+        {(0, 0, 0, 1): 1},
+    )
+    out = {}
+    for exp, coef in p.coeffs:
+        term = {(0, 0, 0, 0): Fraction(coef)}
+        for img, n in zip(images, exp):
+            for _ in range(n):
+                prod = {}
+                for e1, c1 in term.items():
+                    for e2, c2 in img.items():
+                        e = tuple(u + v for u, v in zip(e1, e2))
+                        prod[e] = prod.get(e, Fraction(0)) + c1 * c2
+                term = prod
+        for e, v in term.items():
+            out[e] = out.get(e, Fraction(0)) + v
+    return {e: v for e, v in out.items() if v != 0}
+
+
+# pairwise-coprime denominators for the t-divisible coefficients: the four
+# smallest primes above 10³⁹, then the first twelve primes
+BIG_PRIMES = (10**39 + 3, 10**39 + 37, 10**39 + 81, 10**39 + 87)
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def coprime_deformation(branch):
+    """A Weierstrass t⁰ part on `branch` ("g2" or "g3") and ±(2k+1)/qₖ on the
+    k-th t-divisible weight-6 monomial, the qₖ pairwise coprime."""
+    d = {(0, 2, 0, 0): Fraction(-1), (3, 0, 0, 0): Fraction(1), (0, 0, 6, 0): Fraction(5, 7)}
+    if branch == "g2":
+        d[(1, 0, 4, 0)] = Fraction(-2, 3)
+    t_divisible = [m for m in WEIGHT6_MONOMIALS if m[3] > 0]
+    assert len(t_divisible) == len(BIG_PRIMES + SMALL_PRIMES) == 16
+    for k, (m, q) in enumerate(zip(t_divisible, BIG_PRIMES + SMALL_PRIMES)):
+        d[m] = Fraction((-1) ** k * (2 * k + 1), q)
+    return WeightedPolynomial.from_dict(d)
+
+
+def deformation_on_branch(seed, branch):
+    if branch == "g2":
+        return random_deformation(seed)
+    d = random_deformation(seed, cuspidal=True).as_dict()
+    d[(0, 0, 6, 0)] = Fraction(seed % 40 + 1, 41)
+    return WeightedPolynomial.from_dict(d)
+
+
+wide_fracs = st.one_of(
+    small_fracs,
+    st.fractions(min_value=Fraction(-2), max_value=Fraction(2), max_denominator=10**40),
+)
+wide_changes = st.tuples(
+    st.lists(wide_fracs, min_size=2, max_size=2),
+    st.lists(wide_fracs, min_size=4, max_size=4),
+    wide_fracs,
+).map(lambda t: ChangeOfVariables(alpha=tuple(t[0]), beta=tuple(t[1]), gamma=t[2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    wide_changes,
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(("g2", "g3", "coprime-g2", "coprime-g3")),
+)
+def test_substitution_matches_naive_expansion(c, seed, kind):
+    if kind.startswith("coprime"):
+        p = coprime_deformation(kind[-2:])
+    else:
+        p = deformation_on_branch(seed, kind)
+    expected = naive_substitution(p, c)
+    assert apply_change(p, c).as_dict() == expected
+    for m in WEIGHT6_MONOMIALS:
+        assert _substitute(p, c, m)[m] == expected.get(m, 0)
+
+
+@pytest.mark.parametrize("branch", ["g2", "g3"])
+def test_reduction_with_coprime_denominators(branch):
+    assert all(gcd(p, q) == 1 for p, q in combinations(BIG_PRIMES + SMALL_PRIMES, 2))
+    p = coprime_deformation(branch)
+    assert sorted(c.denominator for m, c in p.coeffs if m[3]) == sorted(BIG_PRIMES + SMALL_PRIMES)
+    # reduce_to_standard_form re-applies its composed change as a final check;
+    # the naive expansion checks that change independently
+    r = reduce_to_standard_form(p)
+    assert r.branch == branch
+    assert naive_substitution(p, r.change) == r.polynomial.as_dict()
 
 
 @settings(max_examples=60, deadline=None)
