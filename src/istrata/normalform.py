@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .exact import VerificationError
 
@@ -133,48 +133,80 @@ class ChangeOfVariables:
         ]
 
 
-def _substitute(poly, change, target=None):
-    """The substituted polynomial as an exponent dictionary.
-
-    Every image term has the weight of the variable it replaces, so with the
-    images of `ChangeOfVariables.images` each substituted monomial carries d⁶:
-    the sum runs on `int`s over dₚ·d⁶ (dₚ the lcm of `poly`'s denominators).
-
-    The powers of each image are built once, up to the largest exponent of
-    that variable in `poly`.  With `target`, a partial product is dropped as
-    soon as one exponent exceeds the target's; every image term has
-    nonnegative exponents, so the coefficient of `target` is still exact,
-    and only that coefficient is returned.
-    """
-    # `*` gets lists, not generators: CPython builds a generator's argument
+def _numerators(poly):
+    """(terms, den): `poly` as (exponent, `int`) terms over den, the lcm of its
+    denominators."""
+    # `*` gets a list, not a generator: CPython builds a generator's argument
     # tuple by resizing, and the resized tuples pile up on its free lists
     # (3 MB of peak RSS in 1,000 reductions)
+    den = lcm(*[c.denominator for _, c in poly.coeffs])
+    return [(exp, c.numerator * (den // c.denominator)) for exp, c in poly.coeffs], den
+
+
+def _polynomial(terms, den):
+    """The `WeightedPolynomial` of sorted nonzero `terms` over den."""
+    return WeightedPolynomial(coeffs=tuple((exp, Fraction(n, den)) for exp, n in terms))
+
+
+def _expand(terms, den, change, target=None):
+    """Substitute `change` into Σ n·xᵉ / den, given as sorted (exponent, `int`)
+    terms over den.
+
+    Every image term has the weight of the variable it replaces, so with the
+    images of `ChangeOfVariables.images` each substituted monomial carries d⁶
+    and the sum runs on `int`s over den·d⁶.  Returns (sorted nonzero terms,
+    den·d⁶/g), g the gcd of den·d⁶ and every numerator, so the returned
+    denominator is the lcm of the coefficients' denominators.
+
+    The powers of each image are built once, up to the largest exponent of
+    that variable in `terms`; each monomial is then expanded in one pass over
+    the four powers it needs.  With `target`, a partial product is dropped as
+    soon as one exponent exceeds the target's; every image term has
+    nonnegative exponents, so the coefficient of `target` is still exact, and
+    only (its numerator, den·d⁶) is returned, unreduced.
+    """
     d, images = change.images()
-    dp = lcm(*[c.denominator for _, c in poly.coeffs])
+    # the zero row gives the empty polynomial tops of 0
+    tops = map(max, zip((0, 0, 0, 0), *[exp for exp, _ in terms]))
     tables = []
-    for img, top in zip(images, map(max, zip(*[exp for exp, _ in poly.coeffs]))):
+    for img, top in zip(images, tops):
         table = [{(0, 0, 0, 0): 1}]
         for _ in range(top):
             table.append(_mul(table[-1], img, target))
         tables.append(table)
+    xs, ys, zs, ts = tables
+    # without a target nothing is dropped: no exponent of a (partial) product
+    # of a weight-6 monomial exceeds 6
+    t0, t1, t2, t3 = target or (TOTAL_WEIGHT,) * 4
     acc = {}
-    for exp, c in poly.coeffs:
-        term = {(0, 0, 0, 0): c.numerator * (dp // c.denominator)}
-        for table, n in zip(tables, exp):
-            if n:
-                term = _mul(term, table[n], target)
-        for e, n in term.items():
-            acc[e] = acc.get(e, 0) + n
-    den = dp * d**TOTAL_WEIGHT
+    for (i, j, k, m), n in terms:
+        for (a0, a1, a2, a3), ca in xs[i].items():
+            na = n * ca
+            for (b0, b1, b2, b3), cb in ys[j].items():
+                e0, e1, e2, e3 = a0 + b0, a1 + b1, a2 + b2, a3 + b3
+                if e0 > t0 or e1 > t1 or e2 > t2 or e3 > t3:
+                    continue
+                nb = na * cb
+                for (c0, c1, c2, c3), cc in zs[k].items():
+                    f0, f1, f2, f3 = e0 + c0, e1 + c1, e2 + c2, e3 + c3
+                    if f0 > t0 or f1 > t1 or f2 > t2 or f3 > t3:
+                        continue
+                    nc = nb * cc
+                    for (g0, g1, g2, g3), ct in ts[m].items():
+                        e = (f0 + g0, f1 + g1, f2 + g2, f3 + g3)
+                        acc[e] = acc.get(e, 0) + nc * ct
+    big = den * d**TOTAL_WEIGHT
     if target is not None:
-        return {target: Fraction(acc.get(target, 0), den)}
-    return {e: Fraction(n, den) for e, n in acc.items() if n}
+        return acc.get(target, 0), big
+    out = sorted([(e, n) for e, n in acc.items() if n])
+    g = gcd(big, *[n for _, n in out])
+    return [(e, n // g) for e, n in out], big // g
 
 
 def apply_change(poly, change):
     """Exact substitution; homogeneity is preserved since every replacement
     term has the weight of the variable it replaces."""
-    return WeightedPolynomial.from_dict(_substitute(poly, change))
+    return _polynomial(*_expand(*_numerators(poly), change))
 
 
 def compose_changes(first, second):
@@ -236,25 +268,26 @@ def leading_form_invariants(poly):
     return cy, cx, t0.get(_XZ4, Fraction(0)), t0.get(_Z6, Fraction(0))
 
 
-def _solve_parameter(poly, target, make_change):
-    """Kill the coefficient of `target` using the one-parameter family
-    u ↦ make_change(u), where make_change(0) is the identity.
+def _solve_parameter(terms, den, target, make_change):
+    """Kill the coefficient of `target` in the polynomial of `terms` over den
+    using the one-parameter family u ↦ make_change(u), where make_change(0)
+    is the identity.  Returns (terms, den) of the result and the change.
 
     The coefficient is an affine function of u; two evaluations determine
-    it, a third certifies affinity, and the slope must be nonzero.
+    it, a third certifies affinity, and the slope must be nonzero.  The
+    probes take integer u, so d = 1 and their numerators are over den too.
     """
     def probe(u):
-        return _substitute(poly, make_change(Fraction(u)), target)[target]
+        return _expand(terms, den, make_change(Fraction(u)), target)[0]
 
-    c0, c1, c2 = poly.coefficient(target), probe(1), probe(2)
+    c0, c1, c2 = dict(terms).get(target, 0), probe(1), probe(2)
     if c2 - c1 != c1 - c0:
         raise VerificationError("coefficient is not affine in the parameter")
     slope = c1 - c0
     if slope == 0:
         raise ValueError(f"cannot normalize {_mono_str(target)}: degenerate slope")
-    u = -c0 / slope
-    change = make_change(u)
-    return apply_change(poly, change), change
+    change = make_change(Fraction(-c0, slope))
+    return *_expand(terms, den, change), change
 
 
 def reduce_to_standard_form(poly):
@@ -263,11 +296,12 @@ def reduce_to_standard_form(poly):
     Order matters: the β parameters fix the y-linear monomials first (only
     −2·c_y·y·δ can move them), then α₁, α₂ clear tx²z and t²x² using the x³
     term, and finally γ clears txz³ (when g₂ ≠ 0) or tz⁵ (when g₂ = 0,
-    g₃ ≠ 0); this order never reintroduces an earlier target.
+    g₃ ≠ 0); this order never reintroduces an earlier target.  The seven
+    steps carry integer numerators over one denominator.
     """
     cy, cx, g2, g3 = leading_form_invariants(poly)
     total = ChangeOfVariables.identity()
-    current = poly
+    terms, den = _numerators(poly)
 
     def elementary(k, u):
         """The change whose k-th parameter in (α₁, α₂, β₁, …, β₄, γ) is u."""
@@ -276,10 +310,10 @@ def reduce_to_standard_form(poly):
         return ChangeOfVariables(alpha=tuple(p[:2]), beta=tuple(p[2:6]), gamma=p[6])
 
     for i, target in enumerate(_BETA_TARGETS):
-        current, ch = _solve_parameter(current, target, lambda u, i=i: elementary(2 + i, u))
+        terms, den, ch = _solve_parameter(terms, den, target, lambda u, i=i: elementary(2 + i, u))
         total = compose_changes(total, ch)
     for i, target in enumerate(_ALPHA_TARGETS):
-        current, ch = _solve_parameter(current, target, lambda u, i=i: elementary(i, u))
+        terms, den, ch = _solve_parameter(terms, den, target, lambda u, i=i: elementary(i, u))
         total = compose_changes(total, ch)
     if g2 != 0:
         target, branch = _GAMMA_TARGET_G2, "g2"
@@ -287,8 +321,9 @@ def reduce_to_standard_form(poly):
         target, branch = _GAMMA_TARGET_G3, "g3"
     else:
         raise ValueError("g₂ = g₃ = 0: the fibre is cuspidal, no normal form")
-    current, ch = _solve_parameter(current, target, lambda u: elementary(6, u))
+    terms, den, ch = _solve_parameter(terms, den, target, lambda u: elementary(6, u))
     total = compose_changes(total, ch)
+    current = _polynomial(terms, den)
 
     for t in _BETA_TARGETS + _ALPHA_TARGETS + (target,):
         if current.coefficient(t) != 0:

@@ -18,6 +18,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def short_run(workload, seed, trace):
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", "1", "--trace", str(trace),
+    ]
+    r = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stdout[-2000:] + r.stderr[-2000:]
+    last = json.loads(r.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True
+    assert last["failed"] == 0
+
+
 @pytest.mark.parametrize(
     "workload, trace",
     [
@@ -29,12 +41,10 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_short_run_checks_out(workload, trace):
-    cmd = [
-        sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", "41", "--seconds", "1", "--trace", str(trace),
-    ]
-    r = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
-    assert r.returncode == 0, r.stdout[-2000:] + r.stderr[-2000:]
-    last = json.loads(r.stdout.strip().splitlines()[-1])
-    assert last["correct"] is True
-    assert last["failed"] == 0
+    short_run(workload, 41, trace)
+
+
+@pytest.mark.parametrize("workload", ["fixture-roundtrip", "normal-form"])
+def test_short_run_checks_out_at_second_seed(workload):
+    # the benchmark itself runs seed 41; another seed draws other ops
+    short_run(workload, 1, 0)

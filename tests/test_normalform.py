@@ -169,6 +169,46 @@ class TestReduction:
         with pytest.raises(VerificationError):
             reduce_to_standard_form(random_deformation(3))
 
+    def test_non_affine_probe_is_caught(self, monkeypatch):
+        # the probe at u = 2 reads one more than the true numerator
+        expand = normalform._expand
+
+        def shifted(terms, den, change, target=None):
+            out = expand(terms, den, change, target)
+            if target is not None and 2 in (*change.alpha, *change.beta, change.gamma):
+                return out[0] + 1, out[1]
+            return out
+
+        monkeypatch.setattr(normalform, "_expand", shifted)
+        with pytest.raises(VerificationError, match="not affine"):
+            reduce_to_standard_form(random_deformation(3))
+
+    def test_surviving_target_is_caught(self, monkeypatch):
+        # the γ step applies the zero change, so txz³ stays; the composed
+        # change still matches the (unreduced) result
+        solve = normalform._solve_parameter
+
+        def zeroed(terms, den, target, make_change):
+            if target == (1, 0, 3, 1):
+                return terms, den, ChangeOfVariables.identity()
+            return solve(terms, den, target, make_change)
+
+        monkeypatch.setattr(normalform, "_solve_parameter", zeroed)
+        with pytest.raises(VerificationError, match="survived"):
+            reduce_to_standard_form(random_deformation(3))
+
+    def test_moved_t0_part_is_caught(self, monkeypatch):
+        # x³ gains 1 in every built polynomial, the reduced one and the
+        # re-applied composed change alike, so only the t⁰ check sees it
+        build = normalform._polynomial
+
+        def perturbed(terms, den):
+            return build([(e, n + den if e == X3 else n) for e, n in terms], den)
+
+        monkeypatch.setattr(normalform, "_polynomial", perturbed)
+        with pytest.raises(VerificationError, match="moved the t⁰ part"):
+            reduce_to_standard_form(random_deformation(3))
+
     def test_change_invariance_of_slice(self):
         # a scrambled polynomial reduces to the same slice point
         rng = random.Random(6)

@@ -25,7 +25,7 @@ from istrata.lattices import (
     orthogonal_complement,
 )
 from istrata.normalform import apply_change, compose_changes, random_deformation
-from istrata.normalform import ChangeOfVariables, WeightedPolynomial, _substitute
+from istrata.normalform import ChangeOfVariables, WeightedPolynomial, _expand, _numerators
 from istrata.normalform import monomial_weight, reduce_to_standard_form
 from istrata.roots import _simple_roots, decompose_root_system, enumerate_roots
 from istrata.torelli import gen_fixture
@@ -167,14 +167,15 @@ WEIGHT6_MONOMIALS = [
 def test_pruned_substitution_matches_full_coefficient(c, seed):
     p = random_deformation(seed)
     full = apply_change(p, c)
+    terms, den = _numerators(p)
     for m in WEIGHT6_MONOMIALS:
-        assert _substitute(p, c, m).get(m, 0) == full.coefficient(m)
+        assert Fraction(*_expand(terms, den, c, m)) == full.coefficient(m)
 
 
 def naive_substitution(p, c):
     """p with x, y, z, t replaced by their images, expanded one factor at a
     time in `Fraction` arithmetic: an oracle that shares no code with
-    `normalform._mul` or `_substitute`."""
+    `normalform._mul` or `_expand`."""
     a1, a2 = c.alpha
     b1, b2, b3, b4 = c.beta
     images = (
@@ -241,17 +242,34 @@ wide_changes = st.tuples(
 @given(
     wide_changes,
     st.integers(min_value=0, max_value=10**6),
-    st.sampled_from(("g2", "g3", "coprime-g2", "coprime-g3")),
+    st.sampled_from(("g2", "g3", "coprime-g2", "coprime-g3", "empty")),
+)
+@example(
+    c=ChangeOfVariables(
+        alpha=(Fraction(1, 3), Fraction(2)), beta=(Fraction(-1, 2),) * 4, gamma=Fraction(5, 7)
+    ),
+    seed=0,
+    kind="empty",
 )
 def test_substitution_matches_naive_expansion(c, seed, kind):
-    if kind.startswith("coprime"):
+    if kind == "empty":
+        p = WeightedPolynomial(coeffs=())
+    elif kind.startswith("coprime"):
         p = coprime_deformation(kind[-2:])
     else:
         p = deformation_on_branch(seed, kind)
     expected = naive_substitution(p, c)
     assert apply_change(p, c).as_dict() == expected
+    # the integer carry: numerators over the lcm of the coefficients' denominators
+    num, den = _numerators(p)
+    terms, out_den = _expand(num, den, c)
+    assert gcd(out_den, *[n for _, n in terms]) == 1
+    assert out_den == lcm(*[v.denominator for v in expected.values()])
+    assert terms == sorted(
+        (e, v.numerator * (out_den // v.denominator)) for e, v in expected.items()
+    )
     for m in WEIGHT6_MONOMIALS:
-        assert _substitute(p, c, m)[m] == expected.get(m, 0)
+        assert Fraction(*_expand(num, den, c, m)) == expected.get(m, 0)
 
 
 @pytest.mark.parametrize("branch", ["g2", "g3"])
