@@ -398,87 +398,78 @@ class RestrictionData:
     For each curve i: the del Pezzo side sends εⱼ ↦ pⱼ (and h ↦ 0), so a
     class v restricts to (v·D′ᵢ, Σⱼ vⱼ pⱼ); the Ỹ side is a 2×rank(Ỹ)
     rational matrix constrained so that ψ kills every ξⱼ and [L].  ψᵢ is
-    the Zᵢ side minus the Ỹ side, stored as one 2×rank(ambient) matrix.
+    the Zᵢ side minus the Ỹ side, stored as (Nᵢ, dᵢ): a 2×rank(ambient)
+    integer matrix over one denominator, ψᵢ = Nᵢ/dᵢ.
     """
 
     z_points: tuple  # per curve: tuple of TorusPoint (one per εⱼ of Zᵢ)
-    psi_matrices: tuple  # per curve: 2×rank(ambient) Fraction rows of ψᵢ
+    psi_matrices: tuple  # per curve: (2×rank(ambient) int rows Nᵢ, dᵢ)
 
 
 @lru_cache(maxsize=None)
 def _constraint_columns(classes):
-    """(J, (subᵀ)⁻¹): pivot columns J of the Ỹ constraint classes and the
-    inverse transpose of their invertible (k+1)×(k+1) block sub on J; row j
-    of (subᵀ)⁻¹ is the solution x of sub·x = eⱼ."""
+    """(J, S, D): pivot columns J of the Ỹ constraint classes, and the inverse
+    transpose of their invertible (k+1)×(k+1) block sub on J as the integer
+    S = D·(subᵀ)⁻¹.  One Smith form U·sub·V = diag(f) gives D·sub⁻¹ =
+    V·diag(D/f)·U, with D the last invariant factor."""
     cols = exact.pivot_columns(classes)
     if len(cols) < len(classes):
         raise ValueError("constraint classes are rank deficient")
-    sub = [[row[t] for t in cols] for row in classes]
-    return cols, [exact.solve_unique(sub, e) for e in exact.identity_matrix(len(sub))]
+    u, facs, v, _ = exact.smith_normal_form([[row[t] for t in cols] for row in classes])
+    scaled_u = [[x * (facs[-1] // f) for x in row] for row, f in zip(u, facs)]
+    return cols, exact.transpose(exact.mat_mul(v, scaled_u)), facs[-1]
 
 
 def generate_restriction_data(model, seed):
-    """Seeded generic restriction data with the ψ constraints built in."""
+    """Seeded generic restriction data with the ψ constraints built in.  The
+    draws are numerators over 97, so each ψᵢ is integer rows over 97·D."""
     rng = random.Random(seed)
-
-    def rnd():
-        return Fraction(rng.randrange(97), 97)
-
     yt = model.y_tilde
     n = yt.lattice.rank
-    k = model.k
-    z_points = []
-    for z in model.dp_components:
-        pts = tuple(
-            TorusPoint((rnd(), rnd())) for _ in range(z.lattice.rank - 1)
-        )
-        z_points.append(pts)
+    z_nums = [
+        [(rng.randrange(97), rng.randrange(97)) for _ in range(z.lattice.rank - 1)]
+        for z in model.dp_components
+    ]
     # constraint classes on Ỹ: D₁..D_k then L
-    classes = tuple(tuple(yt.double_curves[i + 1]) for i in range(k))
-    classes += (tuple(yt.l_class),)
-    cols, subt_inv = _constraint_columns(classes)
+    classes = tuple(tuple(yt.double_curves[i + 1]) for i in range(model.k)) + (tuple(yt.l_class),)
+    cols, subt_inv, den = _constraint_columns(classes)
     psi_matrices = []
-    for i in range(k):
-        raw = [[rnd() for _ in range(n)] for _ in range(2)]
-        # targets: r(Dⱼ)=0 (j≠i), r(Dᵢ)=Σpⱼ (the K_{Zᵢ} restriction), r(L)=0
-        sum_p = [sum(p.coords[r] for p in z_points[i]) for r in range(2)]
-        # correct the designated columns: Δ_J·subᵀ = target − raw·classesᵀ
-        rhs = [
-            [(sum_p[r] if j == i else 0) - sum(x * y for x, y in zip(raw[r], c))
-             for j, c in enumerate(classes)]
-            for r in range(2)
-        ]
-        delta = exact.mat_mul(rhs, subt_inv)  # Δ_J = rhs · (subᵀ)⁻¹
+    for i in range(model.k):
+        raw = [[rng.randrange(97) for _ in range(n)] for _ in range(2)]
         rows = []
         for r in range(2):
-            for idx, j in enumerate(cols):
-                raw[r][j] += delta[r][idx]
+            p = [0] + [xy[r] for xy in z_nums[i]]
+            # targets: r(Dⱼ)=0 (j≠i), r(Dᵢ)=Σpⱼ (the K_{Zᵢ} restriction), r(L)=0;
+            # correct the designated columns: Δ_J·subᵀ = target − raw·classesᵀ
+            rhs = [(sum(p) if j == i else 0) - x
+                   for j, x in enumerate(exact.mat_vec(classes, raw[r]))]
+            row = [x * den for x in raw[r]]
+            for j, dx in zip(cols, exact.vec_mat(rhs, subt_inv)):  # Δ_J = rhs·(subᵀ)⁻¹
+                row[j] += dx
             # ψᵢ: minus the Ỹ side on Ỹ, εⱼ ↦ pⱼ on Zᵢ, zero elsewhere
-            z_row = model.embed_z(i, [0] + [p.coords[r] for p in z_points[i]])
-            rows.append(tuple(-x for x in raw[r]) + z_row[n:])
-        psi_matrices.append(tuple(rows))
-    return RestrictionData(z_points=tuple(z_points), psi_matrices=tuple(psi_matrices))
+            z_row = model.embed_z(i, [x * den for x in p])
+            rows.append(tuple(-x for x in row) + z_row[n:])
+        psi_matrices.append((tuple(rows), 97 * den))
+    z_points = tuple(
+        tuple(TorusPoint((Fraction(a, 97), Fraction(b, 97))) for a, b in pts) for pts in z_nums
+    )
+    return RestrictionData(z_points=z_points, psi_matrices=tuple(psi_matrices))
 
 
 def extension_map(model, lam, restriction):
     """ψ on Λ coordinates: one (Mᵢ, dᵢ) per curve, Mᵢ a 2×24 integer matrix
     with ψᵢ(λ) = Mᵢλ/dᵢ mod ℤ².  Verifies ψ(ξⱼ) = ψ([L]) = 0 identically."""
-    scaled = []
-    for psi in restriction.psi_matrices:
-        d = lcm(*(x.denominator for row in psi for x in row))
-        scaled.append(([[x.numerator * (d // x.denominator) for x in row] for row in psi], d))
+    psi = restriction.psi_matrices
 
     def kills(v):
-        return all(t % d == 0 for n, d in scaled for t in exact.mat_vec(n, v))
+        return all(t % d == 0 for n, d in psi for t in exact.mat_vec(n, v))
 
     if not all(kills(x) for x in model.xi):
         raise exact.VerificationError("ψ does not kill ξ")
     if not kills(model.l_total):
         raise exact.VerificationError("ψ does not kill [L]")
     # row r of Mᵢ = Nᵢ·liftsᵀ is lifts·(row r of Nᵢ)
-    return tuple(
-        (tuple(tuple(exact.mat_vec(lam.lifts, row)) for row in n), d) for n, d in scaled
-    )
+    return tuple((tuple(tuple(exact.mat_vec(lam.lifts, row)) for row in n), d) for n, d in psi)
 
 
 # ---------------------------------------------------------------------------

@@ -240,9 +240,9 @@ def gen_fixture(label, seed):
     for lbl, simples in summand_bases:
         flags, points = [], []
         for m, d in psi:
-            # ψᵢ(s) = Mᵢs/dᵢ on each simple root s
+            # ψᵢ(s) = Mᵢs/dᵢ mod ℤ² on each simple root s, built reduced
             vals = tuple(
-                TorusPoint(tuple(Fraction(t, d) for t in mat_vec(m, s))) for s in simples
+                TorusPoint(tuple(Fraction(t % d, d) for t in mat_vec(m, s))) for s in simples
             )
             flags.append(all(v.is_zero() for v in vals))
             points.append(vals)

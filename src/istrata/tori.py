@@ -1,8 +1,10 @@
 """Rational tori: exact models of Jacobians and their morphisms.
 
 A torus of rank g is ℝ^g/ℤ^g; `RationalTorus` carries only g.  A rational
-point is a `TorusPoint` built from its coordinates, Fractions reduced into
-[0, 1).  A morphism is a plain integer g′×g matrix M in the column
+point is a `TorusPoint` of Fractions in [0, 1): given as such (say
+Fraction(t % d, d) from integer numerators) they are kept, other ints and
+Fractions are reduced mod 1, and a float, a bool or a non-number raises
+ValueError.  A morphism is a plain integer g′×g matrix M in the column
 convention (x ↦ M·x).  `kernel_points` returns the finite kernel of a
 ℚ-injective one.
 """
@@ -23,9 +25,10 @@ class TorusPoint:
     coords: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coords", tuple(Fraction(c) % 1 for c in self.coords)
-        )
+        if type(self.coords) is not tuple or not all(
+            type(c) is Fraction and 0 <= c.numerator < c.denominator for c in self.coords
+        ):
+            object.__setattr__(self, "coords", tuple(map(_reduced, self.coords)))
 
     @property
     def rank(self):
@@ -49,6 +52,13 @@ class TorusPoint:
     def order(self):
         """Order in the torus group (coordinates are rational, so finite)."""
         return lcm(*(c.denominator for c in self.coords))
+
+
+def _reduced(c):
+    """c mod 1 in [0, 1) for an int or a Fraction; `type(c) is not int` rejects bool."""
+    if type(c) is not int and not isinstance(c, Fraction):
+        raise ValueError(f"torus coordinate {c!r} is not an int or a Fraction")
+    return Fraction(c) % 1
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ run writes its full result to the git-ignored ``perfbench/out/``.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,12 +19,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def short_run(workload, seed, trace):
+def short_run(workload, seed, trace, env=None):
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", "1", "--trace", str(trace),
     ]
-    r = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    r = subprocess.run(
+        cmd, cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env=None if env is None else {**os.environ, **env},
+    )
     assert r.returncode == 0, r.stdout[-2000:] + r.stderr[-2000:]
     last = json.loads(r.stdout.strip().splitlines()[-1])
     assert last["correct"] is True
@@ -48,3 +52,14 @@ def test_short_run_checks_out(workload, trace):
 def test_short_run_checks_out_at_second_seed(workload):
     # the benchmark itself runs seed 41; another seed draws other ops
     short_run(workload, 1, 0)
+
+
+def test_traced_fixture_run_checks_out_at_second_seed():
+    # the traced run compares each op's traced and untraced results
+    short_run("fixture-roundtrip", 1, 1)
+
+
+def test_fixture_run_checks_out_at_third_seed_and_hash_seed():
+    # another op stream, with str hashes fixed by PYTHONHASHSEED=1, so an
+    # outcome that depends on set or dict order over str keys shows reproducibly
+    short_run("fixture-roundtrip", 2718, 0, env={"PYTHONHASHSEED": "1"})

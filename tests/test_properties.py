@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -28,6 +29,7 @@ from istrata.normalform import apply_change, compose_changes, random_deformation
 from istrata.normalform import ChangeOfVariables, WeightedPolynomial, _expand, _numerators
 from istrata.normalform import monomial_weight, reduce_to_standard_form
 from istrata.roots import _simple_roots, decompose_root_system, enumerate_roots
+from istrata.strata import STRATUM_LABELS, build_stratum_model, compute_lambda
 from istrata.torelli import gen_fixture
 from istrata.tori import RationalTorus, TorusPoint, kernel_points
 
@@ -614,6 +616,69 @@ def test_roots_cli_on_hostile_grams(g):
     assert code == 0, err.getvalue()
     if n <= 3:
         assert json.loads(out.getvalue())["root_count"] == _brute_force_root_count(g)
+
+
+# ---------------------------------------------------------------------------
+# the fixture path on integer numerators against a Fraction oracle
+
+
+def naive_psi_rows(model, seed):
+    """ψᵢ on the ambient as 2×rank(ambient) Fraction rows per curve, computed
+    in Fractions throughout: the same draws, (subᵀ)⁻¹ one unit-vector solve
+    per row, the constraint correction on Fraction rows."""
+    rng = random.Random(seed)
+
+    def rnd():
+        return Fraction(rng.randrange(97), 97)
+
+    yt = model.y_tilde
+    n = yt.lattice.rank
+    z_points = [
+        [(rnd(), rnd()) for _ in range(z.lattice.rank - 1)] for z in model.dp_components
+    ]
+    classes = [list(yt.double_curves[i + 1]) for i in range(model.k)] + [list(yt.l_class)]
+    cols = exact.pivot_columns(classes)
+    sub = [[row[t] for t in cols] for row in classes]
+    subt_inv = [exact.solve_unique(sub, e) for e in exact.identity_matrix(len(sub))]
+    out = []
+    for i in range(model.k):
+        raw = [[rnd() for _ in range(n)] for _ in range(2)]
+        rows = []
+        for r in range(2):
+            sum_p = sum(p[r] for p in z_points[i])
+            rhs = [(sum_p if j == i else 0) - sum(x * y for x, y in zip(raw[r], c))
+                   for j, c in enumerate(classes)]
+            delta = [sum(x * y for x, y in zip(rhs, col)) for col in zip(*subt_inv)]
+            for idx, j in enumerate(cols):
+                raw[r][j] += delta[idx]
+            z_row = model.embed_z(i, [0] + [p[r] for p in z_points[i]])
+            rows.append([-x for x in raw[r]] + list(z_row[n:]))
+        out.append(rows)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(STRATUM_LABELS), st.integers(0, 10**6 - 1))
+@example(label="ell111", seed=0)
+def test_fixture_psi_matches_fraction_oracle(label, seed):
+    ds, _ = gen_fixture(label, seed)
+    psi = naive_psi_rows(build_stratum_model(label), seed)
+    lifts = compute_lambda(label).lifts
+    for s in ds.summands:
+        for i, rows in enumerate(psi):
+            want = []
+            for root in s.simple_roots:
+                amb = exact.vec_mat(list(root), lifts)
+                want.append(tuple(
+                    sum(x * y for x, y in zip(row, amb)) % 1 for row in rows
+                ))
+            assert [p.coords for p in s.psi_points[i]] == want
+            assert s.zero_flags[i] == all(c == 0 for v in want for c in v)
+            for p in s.psi_points[i]:
+                assert all(
+                    type(c) is Fraction and 0 <= c < 1 and gcd(c.numerator, c.denominator) == 1
+                    for c in p.coords
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -205,10 +205,14 @@ def _psi_point(md, v):
 
 
 def _shift_row(rd, i, shift):
-    """`rd` with row 0 of ψᵢ's ambient matrix shifted by `shift`."""
-    psi = [list(map(list, rows)) for rows in rd.psi_matrices]
-    psi[i][0] = [x + y for x, y in zip(psi[i][0], shift)]
-    return dataclasses.replace(rd, psi_matrices=tuple(tuple(map(tuple, r)) for r in psi))
+    """`rd` with row 0 of ψᵢ = Nᵢ/dᵢ on the ambient shifted by the rational
+    vector `shift`, carried over the common denominator e."""
+    psi = list(rd.psi_matrices)
+    (row0, row1), d = psi[i]
+    e = lcm(d, *(Fraction(y).denominator for y in shift))
+    row0 = tuple(x * (e // d) + int(Fraction(y) * e) for x, y in zip(row0, shift))
+    psi[i] = ((row0, tuple(x * (e // d) for x in row1)), e)
+    return dataclasses.replace(rd, psi_matrices=tuple(psi))
 
 
 class TestExtensionMap:
@@ -250,14 +254,17 @@ class TestExtensionMap:
             rd = generate_restriction_data(m, seed)
             psi = extension_map(m, lam, rd)
             assert len(psi) == m.k
-            for (mi, d), fr in zip(psi, rd.psi_matrices):
-                assert d == lcm(*(x.denominator for row in fr for x in row))
+            for (mi, d), (ni, di) in zip(psi, rd.psi_matrices):
+                # ψᵢ = Nᵢ/dᵢ on the ambient, integer rows over one denominator
+                assert d == di and type(d) is int and d > 0
+                assert all(type(x) is int for row in ni for x in row)
                 assert len(mi) == 2
                 assert all(len(r) == 24 and all(type(x) is int for x in r) for r in mi)
             for _ in range(20):
                 v = [rng.randint(-5, 5) for _ in range(24)]
                 amb = exact.vec_mat(v, lam.lifts)
-                for md, fr in zip(psi, rd.psi_matrices):
+                for md, (ni, di) in zip(psi, rd.psi_matrices):
+                    fr = [[Fraction(x, di) for x in row] for row in ni]
                     assert _psi_point(md, v) == TorusPoint(tuple(exact.mat_vec(fr, amb)))
 
     def test_additivity(self):

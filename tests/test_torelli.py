@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -6,7 +7,9 @@ import pytest
 
 from istrata import exact, torelli
 from istrata.io import dataset_from_json, dataset_to_json, dumps
+from istrata.io import point_to_json
 from istrata.roots import build_En_lattice
+from istrata.strata import STRATUM_LABELS
 from istrata.tori import RationalTorus, TorusPoint
 from istrata.torelli import (
     AnticanonicalConfig,
@@ -227,3 +230,28 @@ class TestReconstruct111:
         ds, _ = gen_fixture("rat11", 3)
         with pytest.raises(ValueError):
             reconstruct_111(ds)
+
+
+# sha256 of the fixture outputs, recorded before the fixture path went to
+# integer numerators: the dataset texts of all six strata at seeds 0–39,
+# and the (1,1,1) reconstructions (distinguished pair, section curve, the two
+# canonical configurations) at seeds 0–9
+PINNED_FIXTURES = "b4cbdf041e5c61e4c7ce576cbbe9b7ca236ec4395c36921d7a0a166208906d0e"
+PINNED_RECONSTRUCTIONS = "0614136fe377e112f4abfcf0b6e3cf84466eac37b72420aaa08c97692f1ed52f"
+
+
+def test_pinned_fixture_texts():
+    digest = hashlib.sha256()
+    for label in STRATUM_LABELS:
+        for seed in range(40):
+            digest.update(dumps(dataset_to_json(gen_fixture(label, seed)[0])).encode())
+    assert digest.hexdigest() == PINNED_FIXTURES
+
+
+def test_pinned_reconstructions():
+    digest = hashlib.sha256()
+    for seed in range(10):
+        rec = reconstruct_111(gen_fixture("ell111", seed)[0])
+        configs = [[point_to_json(p) for p in c.points] for c in rec.configs]
+        digest.update(dumps([list(rec.distinguished_pair), rec.section_curve, configs]).encode())
+    assert digest.hexdigest() == PINNED_RECONSTRUCTIONS

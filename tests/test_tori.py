@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,27 @@ class TestPoints:
     def test_reduction_mod_one(self):
         p = TorusPoint((Fraction(5, 4), Fraction(-1, 3)))
         assert p.coords == (Fraction(1, 4), Fraction(2, 3))
+
+    def test_reduced_fractions_kept_others_reduced(self):
+        # a reduced Fraction in [0, 1) is stored as given; ints, Fractions
+        # outside [0, 1) and a list of coordinates are reduced as before
+        half = Fraction(1, 2)
+        assert TorusPoint((half, Fraction(0))).coords[0] is half
+        assert TorusPoint([3, Fraction(-7, 2)]).coords == (Fraction(0), Fraction(1, 2))
+        assert TorusPoint((Fraction(1), -1)).is_zero()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [0.1, 0.0, float("nan"), True, False, "1/2", None, Decimal("0.1"), 1j, [1]],
+        ids=["float", "zero-float", "nan", "true", "false", "str", "none", "decimal",
+             "complex", "list"],
+    )
+    def test_rejects_non_rational_coordinates(self, bad):
+        # floating point never enters a point, and neither does a bool
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            TorusPoint((Fraction(1, 3), bad))
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            TorusPoint((bad, 0))
 
     def test_group_ops(self):
         p = TorusPoint((Fraction(1, 2), Fraction(2, 3)))
