@@ -31,7 +31,7 @@ EXIT_PRECONDITION = 3
 
 
 def _emit(report, summary):
-    print(serial.dumps(report))
+    print(serial.dumps(report, indent=2))
     print(summary, file=sys.stderr)
 
 

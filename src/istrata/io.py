@@ -33,10 +33,14 @@ def _parse_int(text):
 
 
 def fraction_to_str(f):
-    """"p" or "p/q".  A result computed from a file can outgrow the numbers in
-    it (reconstructed points sum ψ values, so denominators multiply); past the
-    int-string digit limit that is bad input, not a failed precondition."""
-    f = Fraction(f)
+    """"p" or "p/q" of an int or a Fraction; a float, a bool or a non-number
+    raises ValueError.  A result computed from a file can outgrow the numbers
+    in it (reconstructed points sum ψ values, so denominators multiply); past
+    the int-string digit limit that is bad input, not a failed precondition."""
+    if type(f) is not Fraction:
+        if type(f) is not int and not isinstance(f, Fraction):  # bool is not int
+            raise ValueError(f"not an exact rational: {f!r}")
+        f = Fraction(f)
     try:
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
     except ValueError as exc:  # more than sys.get_int_max_str_digits() digits
@@ -45,11 +49,14 @@ def fraction_to_str(f):
         ) from exc
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def fraction_from_str(s):
     """A JSON integer, or a "p" or "p/q" string with q ≠ 0, as a Fraction."""
     if type(s) is int:
         return Fraction(s)
-    if isinstance(s, str) and re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", s):
+    if isinstance(s, str) and _RATIONAL.fullmatch(s):
         num, _, den = s.partition("/")
         return Fraction(_parse_int(num), _parse_int(den or "1"))
     raise InputError(f"not an exact rational: {s!r}")
@@ -209,9 +216,14 @@ def dataset_from_json(obj):
         raise InputError(f"dataset: {exc}") from exc
 
 
-def dumps(obj):
-    """Deterministic JSON text."""
-    return json.dumps(obj, sort_keys=True, indent=2)
+def dumps(obj, indent=None):
+    """Deterministic JSON text with sorted keys.  By default it is compact, one
+    line with no spaces, which CPython's C encoder writes; that is the text
+    datasets travel as in-process.  The CLI's reports pass indent=2, which
+    the pure-Python encoder writes."""
+    if indent is None:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, indent=indent)
 
 
 def _unique_keys(pairs):

@@ -11,6 +11,7 @@ JDᵢ = J(Im Nᵢ) → JW₁ = J(W₁) and their pair indices are read off the c
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from . import exact
@@ -77,9 +78,11 @@ _STRATUM_FRAME = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_frame(label):
     """Monodromy frame for a stratum label (or one of the four frame kinds
-    'rational', 'enriques', 'ell111', 'ell211' directly)."""
+    'rational', 'enriques', 'ell111', 'ell211' directly); certified once and
+    cached."""
     kind = _STRATUM_FRAME.get(label, label)
     if kind not in _FRAME_CYCLES:
         raise ValueError(f"unknown frame label {label!r}")

@@ -407,49 +407,121 @@ class RestrictionData:
 
 
 @lru_cache(maxsize=None)
-def _constraint_columns(classes):
-    """(J, S, D): pivot columns J of the Ỹ constraint classes, and the inverse
-    transpose of their invertible (k+1)×(k+1) block sub on J as the integer
-    S = D·(subᵀ)⁻¹.  One Smith form U·sub·V = diag(f) gives D·sub⁻¹ =
-    V·diag(D/f)·U, with D the last invariant factor."""
+def _constraint_columns(label):
+    """(C, J, S, D): the Ỹ constraint classes C = (D₁..D_k, L) of a stratum,
+    their pivot columns J, and the inverse transpose of their invertible
+    (k+1)×(k+1) block sub on J as the integer S = D·(subᵀ)⁻¹.  One Smith
+    form U·sub·V = diag(f) gives D·sub⁻¹ = V·diag(D/f)·U, with D the last
+    invariant factor."""
+    model = build_stratum_model(label)
+    yt = model.y_tilde
+    classes = tuple(tuple(yt.double_curves[i + 1]) for i in range(model.k)) + (tuple(yt.l_class),)
     cols = exact.pivot_columns(classes)
     if len(cols) < len(classes):
         raise ValueError("constraint classes are rank deficient")
     u, facs, v, _ = exact.smith_normal_form([[row[t] for t in cols] for row in classes])
     scaled_u = [[x * (facs[-1] // f) for x in row] for row, f in zip(u, facs)]
-    return cols, exact.transpose(exact.mat_mul(v, scaled_u)), facs[-1]
+    return classes, cols, exact.transpose(exact.mat_mul(v, scaled_u)), facs[-1]
+
+
+def _psi_row(model, i, p, raw):
+    """One integer row of ψᵢ over 97·D, linear in the draws: the numerators
+    p = (0, p₁, …) on Zᵢ's basis and raw on Ỹ's.  The Ỹ row is raw with
+    its constraint columns J corrected so that r(Dⱼ) = 0 (j ≠ i),
+    r(Dᵢ) = Σpⱼ (the K_{Zᵢ} restriction) and r(L) = 0:
+    Δ_J·subᵀ = target − raw·classesᵀ.  ψᵢ is minus the Ỹ side on Ỹ,
+    εⱼ ↦ pⱼ on Zᵢ, zero elsewhere."""
+    classes, cols, subt_inv, den = _constraint_columns(model.stratum)
+    rhs = [(sum(p) if j == i else 0) - x for j, x in enumerate(exact.mat_vec(classes, raw))]
+    row = [x * den for x in raw]
+    for j, dx in zip(cols, exact.vec_mat(rhs, subt_inv)):  # Δ_J = rhs·(subᵀ)⁻¹
+        row[j] += dx
+    z_row = model.embed_z(i, [x * den for x in p])
+    return tuple(-x for x in row) + z_row[len(raw):]
+
+
+@lru_cache(maxsize=None)
+def psi_summands(label):
+    """The summands ψ is read on, as (label, simple roots in Λ coordinates):
+    the root components of Λ, or on ell111 the κ⊥ bases of the three dP1
+    components, in the exceptional-basis order that keys the stored ψ
+    values directly to the period map; cached."""
+    lam = compute_lambda(label)
+    if label == "ell111":
+        model = build_stratum_model(label)
+        return tuple(
+            ("E8", tuple(lam.ambient_to_lambda(r) for r in model.dp_root_basis(i)))
+            for i in range(model.k)
+        )
+    return tuple((lbl, tuple(map(tuple, simples))) for lbl, simples in lam.root_data.components)
+
+
+@lru_cache(maxsize=None)
+def _generic_pattern(label):
+    """Per curve i, the summands on which ψᵢ is not identically zero mod ℤ²
+    as a function of the draws; each as the simple roots, in sparse ambient
+    coordinates ((t, aₜ), …), that ψᵢ does not kill identically.  ψᵢ(a) is
+    an integer linear form in the draws over dᵢ, so it is identically zero
+    exactly when each draw's coefficient is ≡ 0 mod dᵢ."""
+    model = build_stratum_model(label)
+    lifts = compute_lambda(label).lifts
+    n = model.y_tilde.lattice.rank
+    d = 97 * _constraint_columns(label)[3]
+    summands = [
+        [tuple((t, x) for t, x in enumerate(exact.vec_mat(list(s), lifts)) if x) for s in simples]
+        for _, simples in psi_summands(label)
+    ]
+    pattern = []
+    for i, z in enumerate(model.dp_components):
+        w = n + z.lattice.rank - 1  # draws per row: raw on Ỹ, then p₁, …
+        units = [[int(t == u) for t in range(w)] for u in range(w)]
+        forms = [_psi_row(model, i, [0] + e[n:], e[:n]) for e in units]
+        live = (
+            tuple(a for a in roots if any(sum(f[t] * x for t, x in a) % d for f in forms))
+            for roots in summands
+        )
+        pattern.append(tuple(group for group in live if group))
+    return tuple(pattern)
+
+
+# a draw is not generic with probability about 97⁻², so this many in a row is a bug
+_MAX_DRAWS = 100
 
 
 def generate_restriction_data(model, seed):
     """Seeded generic restriction data with the ψ constraints built in.  The
-    draws are numerators over 97, so each ψᵢ is integer rows over 97·D."""
+    draws are numerators over 97, so each ψᵢ is integer rows over 97·D.
+
+    Generic means: ψᵢ is nonzero mod ℤ² on every summand where it is not
+    identically zero as a function of the draws, so the ψ block structure is
+    the stratum's.  A draw that is not generic is drawn again from the same
+    random stream, which keeps every generic first draw."""
     rng = random.Random(seed)
-    yt = model.y_tilde
-    n = yt.lattice.rank
-    z_nums = [
-        [(rng.randrange(97), rng.randrange(97)) for _ in range(z.lattice.rank - 1)]
-        for z in model.dp_components
-    ]
-    # constraint classes on Ỹ: D₁..D_k then L
-    classes = tuple(tuple(yt.double_curves[i + 1]) for i in range(model.k)) + (tuple(yt.l_class),)
-    cols, subt_inv, den = _constraint_columns(classes)
-    psi_matrices = []
-    for i in range(model.k):
-        raw = [[rng.randrange(97) for _ in range(n)] for _ in range(2)]
-        rows = []
-        for r in range(2):
-            p = [0] + [xy[r] for xy in z_nums[i]]
-            # targets: r(Dⱼ)=0 (j≠i), r(Dᵢ)=Σpⱼ (the K_{Zᵢ} restriction), r(L)=0;
-            # correct the designated columns: Δ_J·subᵀ = target − raw·classesᵀ
-            rhs = [(sum(p) if j == i else 0) - x
-                   for j, x in enumerate(exact.mat_vec(classes, raw[r]))]
-            row = [x * den for x in raw[r]]
-            for j, dx in zip(cols, exact.vec_mat(rhs, subt_inv)):  # Δ_J = rhs·(subᵀ)⁻¹
-                row[j] += dx
-            # ψᵢ: minus the Ỹ side on Ỹ, εⱼ ↦ pⱼ on Zᵢ, zero elsewhere
-            z_row = model.embed_z(i, [x * den for x in p])
-            rows.append(tuple(-x for x in row) + z_row[n:])
-        psi_matrices.append((tuple(rows), 97 * den))
+    n = model.y_tilde.lattice.rank
+    d = 97 * _constraint_columns(model.stratum)[3]
+    pattern = _generic_pattern(model.stratum)
+    for _ in range(_MAX_DRAWS):
+        z_nums = [
+            [(rng.randrange(97), rng.randrange(97)) for _ in range(z.lattice.rank - 1)]
+            for z in model.dp_components
+        ]
+        psi_matrices = []
+        for i in range(model.k):
+            raw = [[rng.randrange(97) for _ in range(n)] for _ in range(2)]
+            rows = tuple(
+                _psi_row(model, i, [0] + [xy[r] for xy in z_nums[i]], raw[r])
+                for r in range(2)
+            )
+            psi_matrices.append((rows, d))
+        # ψᵢ nonzero mod ℤ² on some live root of each of its live summands
+        if all(
+            any(sum(row[t] * x for t, x in a) % d for a in group for row in rows)
+            for (rows, _), groups in zip(psi_matrices, pattern)
+            for group in groups
+        ):
+            break
+    else:
+        raise exact.VerificationError(f"no generic restriction data in {_MAX_DRAWS} draws")
     z_points = tuple(
         tuple(TorusPoint((Fraction(a, 97), Fraction(b, 97))) for a, b in pts) for pts in z_nums
     )

@@ -22,6 +22,7 @@ from .strata import (
     compute_lambda,
     extension_map,
     generate_restriction_data,
+    psi_summands,
 )
 from .tori import RationalTorus, TorusPoint, n_torsion
 
@@ -227,17 +228,8 @@ def gen_fixture(label, seed):
     pairs = pair_indices(frame)
     restriction = generate_restriction_data(model, seed)
     psi = extension_map(model, lam, restriction)
-    if label == "ell111":
-        # the κ⊥ bases of the three dP1 components, in the exceptional-basis
-        # order that keys the stored ψ values directly to the period map
-        summand_bases = [
-            ("E8", [lam.ambient_to_lambda(r) for r in model.dp_root_basis(i)])
-            for i in range(model.k)
-        ]
-    else:
-        summand_bases = [(lbl, simples) for lbl, simples in lam.root_data.components]
     summands = []
-    for lbl, simples in summand_bases:
+    for lbl, simples in psi_summands(label):
         flags, points = [], []
         for m, d in psi:
             # ψᵢ(s) = Mᵢs/dᵢ mod ℤ² on each simple root s, built reduced
@@ -249,7 +241,7 @@ def gen_fixture(label, seed):
         summands.append(
             SummandData(
                 label=lbl,
-                simple_roots=tuple(tuple(s) for s in simples),
+                simple_roots=simples,
                 zero_flags=tuple(flags),
                 psi_points=tuple(points),
             )

@@ -63,3 +63,9 @@ def test_fixture_run_checks_out_at_third_seed_and_hash_seed():
     # another op stream, with str hashes fixed by PYTHONHASHSEED=1, so an
     # outcome that depends on set or dict order over str keys shows reproducibly
     short_run("fixture-roundtrip", 2718, 0, env={"PYTHONHASHSEED": "1"})
+
+
+def test_fixture_run_checks_out_at_seed_with_a_vanishing_draw():
+    # op 8 of this stream is (rat21, 32302), whose first restriction-data
+    # draw is not generic: it classified as rat11 before the redraw
+    short_run("fixture-roundtrip", 75022, 0)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,42 @@ class TestSerialization:
     def test_float_rejected(self):
         with pytest.raises(ValueError):
             serial.fraction_from_str("0.5")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [0.1, 0.0, float("nan"), True, False, "1/2", None, Decimal("0.1"), 1j, [1]],
+        ids=["float", "zero-float", "nan", "true", "false", "str", "none", "decimal",
+             "complex", "list"],
+    )
+    def test_fraction_to_str_rejects_non_exact(self, bad):
+        # a float would print as a binary fraction and True as "1"
+        with pytest.raises(ValueError, match="not an exact rational"):
+            serial.fraction_to_str(bad)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("0", 0), ("-0", 0), ("3/4", Fraction(3, 4)), ("0/01", 0), ("2/4", Fraction(1, 2)),
+         ("-12", -12), (0, 0), (-7, -7), (10**30, 10**30)],
+    )
+    def test_fraction_from_str_accepts(self, text, value):
+        got = serial.fraction_from_str(text)
+        assert type(got) is Fraction and got == value
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["+1", " 1", "1 ", "1_0", "\u0661", "1/0", "1/00", "1/-2", "--1", "1.0", "1e3", "",
+         "1\n", True, 1.5, None, [1]],
+    )
+    def test_fraction_from_str_rejects(self, bad):
+        with pytest.raises(serial.InputError, match="not an exact rational"):
+            serial.fraction_from_str(bad)
+
+    def test_dumps_layouts(self):
+        # compact by default (the in-process dataset text); indent=2 is the
+        # layout of every CLI report
+        obj = {"b": [1, {"c": "1/2"}], "a": True}
+        assert serial.dumps(obj) == '{"a":true,"b":[1,{"c":"1/2"}]}'
+        assert serial.dumps(obj, indent=2) == json.dumps(obj, sort_keys=True, indent=2)
 
     def test_lattice_round_trip(self):
         # the documented lattice schema: {"rank": n, "gram": rows}

@@ -7,7 +7,7 @@ from math import lcm
 
 import pytest
 
-from istrata import exact
+from istrata import exact, strata
 from istrata.lattices import lattice_predicates
 from istrata.monodromy import build_frame, pair_indices, picard_lefschetz, weight_data
 from istrata.roots import _ade_label, enumerate_roots
@@ -305,6 +305,28 @@ class TestExtensionMap:
         a = generate_restriction_data(m, 42)
         b = generate_restriction_data(m, 42)
         assert a == b
+
+    def test_generic_first_draw_kept(self):
+        # the z-points are the seed's first draws, unless that draw is not
+        # generic (rat21 seed 32302), which draws again from the same stream
+        m = build_stratum_model("rat21")
+        for seed, kept in [(5, True), (32302, False)]:
+            rng = random.Random(seed)
+            first = tuple(
+                tuple(
+                    TorusPoint((Fraction(rng.randrange(97), 97), Fraction(rng.randrange(97), 97)))
+                    for _ in range(z.lattice.rank - 1)
+                )
+                for z in m.dp_components
+            )
+            assert (generate_restriction_data(m, seed).z_points == first) is kept
+
+    def test_redraw_gives_up(self, monkeypatch):
+        # a root with no entries: no draw makes ψ nonzero on it
+        never = ((),)
+        monkeypatch.setattr(strata, "_generic_pattern", lambda label: ((never,),) * 2)
+        with pytest.raises(exact.VerificationError, match="no generic restriction data"):
+            generate_restriction_data(build_stratum_model("rat11"), 1)
 
 
 class TestRat22Specials:
