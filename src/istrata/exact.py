@@ -19,6 +19,25 @@ class VerificationError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# the exact-number boundary: callers skip these for values already exact
+
+
+def as_int(x):
+    """x if it is an int; a bool, a float or a non-number raises ValueError."""
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an int")
+    return x
+
+
+def as_rational(x):
+    """x as a Fraction if it is an int or a Fraction; a bool, a float or a
+    non-number raises ValueError."""
+    if type(x) is not int and not isinstance(x, Fraction):
+        raise ValueError(f"{x!r} is not an int or a Fraction")
+    return Fraction(x)
+
+
+# ---------------------------------------------------------------------------
 # basic matrix helpers
 
 

@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
+from .exact import as_rational
 from .lattices import IntegralLattice
 from .normalform import WeightedPolynomial
 from .torelli import BoundaryDataset, SummandData
@@ -38,9 +39,7 @@ def fraction_to_str(f):
     in it (reconstructed points sum ψ values, so denominators multiply); past
     the int-string digit limit that is bad input, not a failed precondition."""
     if type(f) is not Fraction:
-        if type(f) is not int and not isinstance(f, Fraction):  # bool is not int
-            raise ValueError(f"not an exact rational: {f!r}")
-        f = Fraction(f)
+        f = as_rational(f)
     try:
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
     except ValueError as exc:  # more than sys.get_int_max_str_digits() digits

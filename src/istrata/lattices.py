@@ -43,7 +43,10 @@ class IntegralLattice:
     gram: tuple
 
     def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        g = tuple(
+            tuple(row) if all(type(x) is int for x in row) else tuple(map(exact.as_int, row))
+            for row in self.gram
+        )
         object.__setattr__(self, "gram", g)
         n = len(g)
         if any(len(row) != n for row in g):

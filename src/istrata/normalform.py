@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import VerificationError
+from .exact import VerificationError, as_rational
 
 WEIGHTS = {"x": 2, "y": 3, "z": 1, "t": 1}
 TOTAL_WEIGHT = 6
@@ -60,10 +60,14 @@ class WeightedPolynomial:
 
     @classmethod
     def from_dict(cls, d):
-        items = tuple(
-            sorted((tuple(exp), Fraction(c)) for exp, c in d.items() if c != 0)
-        )
-        return cls(coeffs=items)
+        """From {exponent: coefficient}; a coefficient must be an int or a Fraction."""
+        items = []
+        for exp, c in d.items():
+            if type(c) is not Fraction:
+                c = as_rational(c)
+            if c:
+                items.append((tuple(exp), c))
+        return cls(coeffs=tuple(sorted(items)))
 
     def as_dict(self):
         return dict(self.coeffs)

@@ -467,10 +467,7 @@ def _generic_pattern(label):
     lifts = compute_lambda(label).lifts
     n = model.y_tilde.lattice.rank
     d = 97 * _constraint_columns(label)[3]
-    summands = [
-        [tuple((t, x) for t, x in enumerate(exact.vec_mat(list(s), lifts)) if x) for s in simples]
-        for _, simples in psi_summands(label)
-    ]
+    summands = [[_lift(s, lifts) for s in simples] for _, simples in psi_summands(label)]
     pattern = []
     for i, z in enumerate(model.dp_components):
         w = n + z.lattice.rank - 1  # draws per row: raw on Ỹ, then p₁, …
@@ -482,6 +479,13 @@ def _generic_pattern(label):
         )
         pattern.append(tuple(group for group in live if group))
     return tuple(pattern)
+
+
+def _lift(s, lifts):
+    """s·lifts in sparse form ((t, aₜ), …), summed from the rows of lifts
+    that the sparse s uses."""
+    rows = [[c * x for x in lifts[k]] for k, c in enumerate(s) if c]
+    return tuple((t, x) for t, x in enumerate(map(sum, zip(*rows))) if x)
 
 
 # a draw is not generic with probability about 97⁻², so this many in a row is a bug

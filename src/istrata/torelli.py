@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .exact import VerificationError, mat_vec
 from .monodromy import build_frame, pair_indices
@@ -61,57 +61,93 @@ def period_map(config):
     The origin convention h ↦ 0 (three collinear points sum to zero) makes
     the κ value vanish automatically.
     """
-    p = config.points
-    n = config.n
-    vals = [p[i + 1] - p[i] for i in range(n - 1)]
-    vals.append(-(p[n - 3] + p[n - 2] + p[n - 1]))
-    return PeriodAssignment(n=n, values=tuple(vals))
+    den = lcm(*(c.denominator for p in config.points for c in p.coords))
+    vals = _periods(_numerators(config.points, den), den)
+    return PeriodAssignment(n=config.n, values=_points(vals, den))
 
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    orbit: tuple  # 9 configurations related by E[3] translation
-    canonical: AnticanonicalConfig  # lexicographically least flattened tuple
+    rows: tuple  # the 9 E[3] translates as flat numerator rows over den
+    den: int
+    canonical: AnticanonicalConfig  # the lexicographically least row
+
+    @property
+    def orbit(self):
+        """The 9 configurations related by E[3] translation, built when read."""
+        T = RationalTorus(2)
+        return tuple(AnticanonicalConfig(T, _points(r, self.den)) for r in self.rows)
 
 
-def _flatten(config):
-    return tuple(c for p in config.points for c in p.coords)
+# The points of a configuration are carried as one flat row of integer
+# numerators (x₁, y₁, x₂, y₂, …) over a common denominator den.  With every
+# row reduced into [0, den), the order of rows is the order of the Fraction
+# coordinates, so the lex-least row is the lex-least configuration.
+
+# the E[3] points as numerator pairs over 3, in n_torsion's order
+_E3 = tuple(
+    tuple(c.numerator * 3 // c.denominator for c in t.coords)
+    for t in n_torsion(RationalTorus(2), 3)
+)
+
+
+def _numerators(points, den):
+    """The coordinates of points, each denominator dividing den, as a flat row over den."""
+    return [c.numerator * (den // c.denominator) for p in points for c in p.coords]
+
+
+def _points(row, den):
+    return tuple(
+        TorusPoint((Fraction(x, den), Fraction(y, den))) for x, y in zip(row[::2], row[1::2])
+    )
+
+
+def _periods(row, den):
+    """The period map on a flat row over den, as a flat row over den in [0, den)."""
+    out = [(row[k + 2] - row[k]) % den for k in range(len(row) - 2)]
+    out += [-(row[-6] + row[-4] + row[-2]) % den, -(row[-5] + row[-3] + row[-1]) % den]
+    return out
+
+
+def _translates(row, den):
+    """The nine E[3] translates of a flat row over den (3 | den), reduced."""
+    s = den // 3
+    n = len(row) // 2
+    return [tuple((x + t) % den for x, t in zip(row, (a * s, b * s) * n)) for a, b in _E3]
 
 
 def reconstruct_points(periods):
     """Invert the period map up to translation by a 3-torsion point.
 
     With cᵢ = Σ_{j<i} vⱼ (so pᵢ = p₁ + cᵢ), the last period forces
-    3p₁ = −(v_n + c_{n−2} + c_{n−1} + c_n); the nine solutions differ by
-    E[3] and each reproduces the input periods exactly.
+    3p₁ = w = −(v_n + c_{n−2} + c_{n−1} + c_n); the nine solutions differ by
+    E[3] and each reproduces the input periods exactly.  Over den = 3·lcm of
+    the period denominators every numerator is a multiple of 3, so p₁ = w/3
+    for w in [0, 1) is the integer w // 3; the translates follow in
+    n_torsion's order.
     """
-    n = periods.n
-    v = periods.values
-    T = RationalTorus(2)
-    c = [T.zero()]
-    for i in range(n - 1):
-        c.append(c[-1] + v[i])
-    w = -(v[n - 1] + c[n - 3] + c[n - 2] + c[n - 1])
-    base = TorusPoint(tuple(x / 3 for x in w.coords))
-    orbit = []
-    for t in n_torsion(T, 3):
-        p1 = base + t
-        config = AnticanonicalConfig(T, tuple(p1 + ci for ci in c))
-        if period_map(config).values != v:
-            raise VerificationError("configuration does not have the given periods")
-        orbit.append(config)
-    canonical = min(orbit, key=_flatten)
-    return ReconstructionResult(orbit=tuple(orbit), canonical=canonical)
+    den = 3 * lcm(*(c.denominator for p in periods.values for c in p.coords))
+    v = _numerators(periods.values, den)
+    c = [0, 0]
+    for k in range(len(v) - 2):
+        c.append(c[k] + v[k])
+    w = (-(v[-2] + c[-6] + c[-4] + c[-2]) % den, -(v[-1] + c[-5] + c[-3] + c[-1]) % den)
+    base = (w[0] // 3, w[1] // 3)
+    rows = _translates([x + base[k % 2] for k, x in enumerate(c)], den)
+    if any(_periods(r, den) != v for r in rows):
+        raise VerificationError("configuration does not have the given periods")
+    canonical = AnticanonicalConfig(RationalTorus(2), _points(min(rows), den))
+    # and the configuration handed back, through period_map on its Fractions
+    if period_map(canonical).values != periods.values:
+        raise VerificationError("configuration does not have the given periods")
+    return ReconstructionResult(rows=tuple(rows), den=den, canonical=canonical)
 
 
 def canonical_translate(config):
     """Lex-least E[3] translate — the comparison form for round-trip tests."""
-    T = config.torus
-    orbit = [
-        AnticanonicalConfig(T, tuple(p + t for p in config.points))
-        for t in n_torsion(T, 3)
-    ]
-    return min(orbit, key=_flatten)
+    den = lcm(3, *(c.denominator for p in config.points for c in p.coords))
+    least = min(_translates(_numerators(config.points, den), den))
+    return AnticanonicalConfig(config.torus, _points(least, den))
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +392,9 @@ def descriptors_equivalent(reconstructed, generating_configs):
     """Round-trip oracle: the reconstructed configs match the generating
     ones up to E[3] translation per component and the swap of the two
     distinguished curves."""
-    recs = [canonical_translate(c) for c in reconstructed.configs]
-    gens = [canonical_translate(c) for c in generating_configs]
-    for perm in ([0, 1], [1, 0]):
-        if all(_flatten(recs[i]) == _flatten(gens[p]) for i, p in enumerate(perm)):
-            return True
-    return False
+    recs = [canonical_translate(c).points for c in reconstructed.configs]
+    gens = [canonical_translate(c).points for c in generating_configs]
+    return recs == gens or recs == gens[::-1]
 
 
 def classifier_confusion_matrix(seeds):

@@ -7,6 +7,11 @@ Fractions are reduced mod 1, and a float, a bool or a non-number raises
 ValueError.  A morphism is a plain integer g′×g matrix M in the column
 convention (x ↦ M·x).  `kernel_points` returns the finite kernel of a
 ℚ-injective one.
+
+The hot paths do no point arithmetic: the ψ values of `torelli.gen_fixture`
+and the (1,1,1) reconstruction (period map, E[3] translates, orbit
+comparison) run on integer numerators over one common denominator and build
+a `TorusPoint` only for what they hand back.
 """
 
 from __future__ import annotations
@@ -55,10 +60,8 @@ class TorusPoint:
 
 
 def _reduced(c):
-    """c mod 1 in [0, 1) for an int or a Fraction; `type(c) is not int` rejects bool."""
-    if type(c) is not int and not isinstance(c, Fraction):
-        raise ValueError(f"torus coordinate {c!r} is not an int or a Fraction")
-    return Fraction(c) % 1
+    """c mod 1 in [0, 1) for an int or a Fraction."""
+    return exact.as_rational(c) % 1
 
 
 @dataclass(frozen=True)
@@ -68,9 +71,6 @@ class RationalTorus:
     def __post_init__(self):
         if self.rank < 0:
             raise ValueError("rank must be non-negative")
-
-    def zero(self):
-        return TorusPoint((Fraction(0),) * self.rank)
 
 
 # ---------------------------------------------------------------------------

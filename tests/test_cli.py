@@ -33,7 +33,7 @@ class TestSerialization:
     )
     def test_fraction_to_str_rejects_non_exact(self, bad):
         # a float would print as a binary fraction and True as "1"
-        with pytest.raises(ValueError, match="not an exact rational"):
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
             serial.fraction_to_str(bad)
 
     @pytest.mark.parametrize(

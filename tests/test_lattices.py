@@ -1,4 +1,6 @@
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +28,22 @@ class TestTypes:
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):
             IntegralLattice([[0, 1], [2, 0]])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [-2.5, -2.0, Fraction(-5, 2), Fraction(-2), "-2", True, None, Decimal("-2")],
+        ids=["float", "integral-float", "fraction", "integral-fraction", "str", "bool",
+             "none", "decimal"],
+    )
+    def test_rejects_non_int_entries(self, bad):
+        # int(x) used to truncate -2.5, Fraction(-5, 2) and "-2" to -2
+        with pytest.raises(ValueError, match="is not an int"):
+            IntegralLattice([[bad]])
+        with pytest.raises(ValueError, match="is not an int"):
+            IntegralLattice([[-2, 1], [1, bad]])
+
+    def test_int_entries_kept(self):
+        assert IntegralLattice([[-2, 1], (1, -2)]).gram == ((-2, 1), (1, -2))
 
     def test_group_divisibility(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,21 @@ class TestPolynomials:
     def test_malformed_exponent_rejected(self, exp):
         with pytest.raises(ValueError, match="nonnegative ints"):
             WeightedPolynomial.from_dict({Y2: -1, exp: Fraction(1, 2)})
+
+    @pytest.mark.parametrize(
+        "bad",
+        [0.1, 0.0, 1.0, True, False, "1/2", None, Decimal("0.1"), 1j],
+        ids=["float", "zero-float", "integral-float", "true", "false", "str", "none",
+             "decimal", "complex"],
+    )
+    def test_rejects_non_rational_coefficients(self, bad):
+        # from_dict({X3: 0.1}) used to keep 3602879701896397/36028797018963968
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            WeightedPolynomial.from_dict({Y2: -1, X3: bad})
+
+    def test_int_and_fraction_coefficients_kept(self):
+        p = WeightedPolynomial.from_dict({Y2: -1, X3: Fraction(1, 2), Z6: 0})
+        assert p.coeffs == ((Y2, Fraction(-1)), (X3, Fraction(1, 2)))
 
     def test_monomial_weights(self):
         assert monomial_weight(Y2) == 6
