@@ -61,7 +61,7 @@ def period_map(config):
     The origin convention h ↦ 0 (three collinear points sum to zero) makes
     the κ value vanish automatically.
     """
-    den = lcm(*(c.denominator for p in config.points for c in p.coords))
+    den = _den(config.points)
     vals = _periods(_numerators(config.points, den), den)
     return PeriodAssignment(n=config.n, values=_points(vals, den))
 
@@ -89,6 +89,10 @@ _E3 = tuple(
     tuple(c.numerator * 3 // c.denominator for c in t.coords)
     for t in n_torsion(RationalTorus(2), 3)
 )
+
+
+def _den(points):
+    return lcm(*(c.denominator for p in points for c in p.coords))
 
 
 def _numerators(points, den):
@@ -126,7 +130,7 @@ def reconstruct_points(periods):
     for w in [0, 1) is the integer w // 3; the translates follow in
     n_torsion's order.
     """
-    den = 3 * lcm(*(c.denominator for p in periods.values for c in p.coords))
+    den = 3 * _den(periods.values)
     v = _numerators(periods.values, den)
     c = [0, 0]
     for k in range(len(v) - 2):
@@ -145,7 +149,7 @@ def reconstruct_points(periods):
 
 def canonical_translate(config):
     """Lex-least E[3] translate — the comparison form for round-trip tests."""
-    den = lcm(3, *(c.denominator for p in config.points for c in p.coords))
+    den = lcm(3, _den(config.points))
     least = min(_translates(_numerators(config.points, den), den))
     return AnticanonicalConfig(config.torus, _points(least, den))
 
