@@ -166,11 +166,14 @@ def _summand_from_json(s):
         ),
         f"psi_points must hold one {_POINT_RANK}-coordinate point per simple root per curve",
     )
+    psi = tuple(tuple(point_from_json(p) for p in curve) for curve in points)
+    _check(flags == [all(p.is_zero() for p in curve) for curve in psi],
+           "each zero flag must say whether every ψ point on its curve is zero")
     return SummandData(
         label=s["label"],
         simple_roots=tuple(tuple(r) for r in roots),
         zero_flags=tuple(flags),
-        psi_points=tuple(tuple(point_from_json(p) for p in curve) for curve in points),
+        psi_points=psi,
     )
 
 
@@ -201,6 +204,8 @@ def dataset_from_json(obj):
         and [e[0] for e in pairs] == [[i, j] for i, j in combinations(range(k), 2)],
         "jw1_pair_indices must list [[i, j], order ≥ 1] for each pair i < j < k in order",
     )
+    _check(pattern == sorted(e[1] for e in pairs),
+           "pair_pattern must be the sorted orders of jw1_pair_indices")
     _check(isinstance(obj["summands"], list), "summands must be a list")
     summands = tuple(_summand_from_json(s) for s in obj["summands"])
     try:

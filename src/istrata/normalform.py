@@ -108,6 +108,13 @@ class ChangeOfVariables:
     def __post_init__(self):
         if len(self.alpha) != 2 or len(self.beta) != 4:
             raise ValueError("need two α and four β parameters")
+        # every parameter exact: an int or a Fraction, kept as a Fraction
+        for name in ("alpha", "beta"):
+            params = getattr(self, name)
+            if not all(type(p) is Fraction for p in params):
+                object.__setattr__(self, name, tuple(map(as_rational, params)))
+        if type(self.gamma) is not Fraction:
+            object.__setattr__(self, "gamma", as_rational(self.gamma))
 
     @classmethod
     def identity(cls):

@@ -7,9 +7,12 @@ components Zᵢ along anticanonical curves.  From this the module computes
 the rank-24 graded piece Λ = {ξ₁..ξ_k, [L]}⊥ / Σℤξᵢ, the markings of JW₁
 read off the monodromy frame, the Carlson extension map ψ on seeded
 generic restriction data, and the distinguished class β₁₁ of the (2,2)
-stratum.  Models and Λ are built once per label.  ψ is plain data: per
-curve an integer 2×24 matrix Mᵢ on Λ coordinates and a denominator dᵢ,
-with ψᵢ(λ) = Mᵢλ/dᵢ mod ℤ².
+stratum.  Each stratum is declared once, as one row of `_MODELS`.  Models,
+Λ and ψ's draw maps are built once per label: per curve, ψᵢ is one integer
+24×w matrix Gᵢ of the draws over d, certified once to kill ξ and [L] for
+every draw.  A seed only draws the integer rows x, and ψ is plain data: per
+curve an integer 2×24 matrix Mᵢ with rows Gᵢ·x on Λ coordinates and a
+denominator dᵢ, with ψᵢ(λ) = Mᵢλ/dᵢ mod ℤ².
 """
 
 from __future__ import annotations
@@ -64,12 +67,6 @@ class ComponentSurface:
                 raise ValueError(
                     f"{self.name}: adjunction fails on double curve {i}"
                 )
-        if self.l_class is not None:
-            total = list(self.canonical_class)
-            for d in self.double_curves.values():
-                total = exact.vec_add(total, list(d))
-            if tuple(total) != tuple(self.l_class):
-                raise ValueError(f"{self.name}: [L] ≠ K + ΣDᵢ")
 
 
 def del_pezzo_surface(name, degree, curve_index):
@@ -84,11 +81,6 @@ def del_pezzo_surface(name, degree, curve_index):
         canonical_class=K,
         double_curves={curve_index: D},
     )
-
-
-def _e8_root_gram():
-    L, h, eps, kappa, alphas = build_En_lattice(8)
-    return [[L.pairing(a, b) for b in alphas] for a in alphas]
 
 
 @dataclass(frozen=True)
@@ -140,137 +132,64 @@ class GluedBoundaryModel:
         return [self.embed_z(i, a) for a in build_En_lattice(n)[4]]
 
 
-def _rat_basis_class(rank, h=0, eps=()):
-    """Class a·h + Σ bⱼ vⱼ for diag(1,−1^{rank−1}) bases.
-
-    `eps` is a list of (position, coeff): εⱼ sits at position j, and the
-    basis vectors after the ε block at their own positions.
-    """
-    v = [0] * rank
-    v[0] = h
-    for j, c in eps:
-        v[j] = c
-    return tuple(v)
+def _ruled_lattice(n_exc):
+    """⟨σ, f, e₁..eₙ⟩ with σ² = 1, σ·f = 1, f² = 0 and eᵢ² = −1."""
+    return direct_sum(IntegralLattice([[1, 1], [1, 0]]), *[IntegralLattice([[-1]])] * n_exc)
 
 
-def _build_rat21():
-    rank = 12  # h, ε₁..ε₉, φ₁, φ₂
-    L = blowup_lattice(11)
-    phis = [(10, -1), (11, -1)]  # −φ₁ − φ₂
-    d1 = _rat_basis_class(rank, h=6, eps=[(j, -2) for j in range(1, 10)] + phis)
-    d2 = _rat_basis_class(rank, h=3, eps=[(j, -1) for j in range(1, 9)] + phis)
-    l = _rat_basis_class(rank, h=6,
-                         eps=[(j, -2) for j in range(1, 9)] + [(9, -1)] + phis)
-    K = tuple(a - b - c for a, b, c in zip(l, d1, d2))
-    yt = ComponentSurface("Y~(2,1)", L, K, {1: d1, 2: d2}, l_class=l)
-    zs = (del_pezzo_surface("Z1=dP2", 2, 1), del_pezzo_surface("Z2=dP1", 1, 2))
-    return yt, zs
+def _enriques_lattice():
+    """U ⊕ E8 ⊕ ⟨−1⟩, basis (f₁, f₂, E8 block, e)."""
+    L, _, _, _, alphas = build_En_lattice(8)
+    e8 = IntegralLattice([[L.pairing(a, b) for b in alphas] for a in alphas])
+    return direct_sum(hyperbolic_plane(), e8, IntegralLattice([[-1]]))
 
 
-def _build_rat22():
-    rank = 13  # h, ε₁..ε₁₁, C
-    L = blowup_lattice(12)
-    C = 12
-    d2 = _rat_basis_class(rank, h=3, eps=[(j, -1) for j in range(1, 12)])
-    d1 = _rat_basis_class(rank, h=4,
-                          eps=[(j, -1) for j in range(1, 11)] + [(11, -2), (C, -2)])
-    l = _rat_basis_class(rank, h=4,
-                         eps=[(j, -1) for j in range(1, 11)] + [(11, -2), (C, -1)])
-    K = tuple(a - b - c for a, b, c in zip(l, d1, d2))
-    yt = ComponentSurface("Y~(2,2)", L, K, {1: d1, 2: d2}, l_class=l)
-    zs = (del_pezzo_surface("Z1=dP2", 2, 1), del_pezzo_surface("Z2=dP2", 2, 2))
-    return yt, zs
-
-
-def _build_rat11():
-    rank = 11  # h, ε₁..ε₁₀
-    L = blowup_lattice(10)
-    d1 = _rat_basis_class(rank, h=6,
-                          eps=[(j, -2) for j in range(1, 10)] + [(10, -1)])
-    d2 = _rat_basis_class(rank, h=6,
-                          eps=[(j, -2) for j in range(1, 9)] + [(10, -2), (9, -1)])
-    l = _rat_basis_class(rank, h=9,
-                         eps=[(j, -3) for j in range(1, 9)] + [(9, -2), (10, -2)])
-    K = tuple(a - b - c for a, b, c in zip(l, d1, d2))
-    yt = ComponentSurface("Y~(1,1)", L, K, {1: d1, 2: d2}, l_class=l)
-    zs = (del_pezzo_surface("Z1=dP1", 1, 1), del_pezzo_surface("Z2=dP1", 1, 2))
-    return yt, zs
-
-
-def _build_enriques():
-    # U ⊕ E8 ⊕ ⟨−1⟩, basis (f₁, f₂, E8-block, e)
-    L = direct_sum(hyperbolic_plane(), IntegralLattice(_e8_root_gram()),
-                   IntegralLattice([[-1]]))
-    E = 10
-    K = tuple(1 if i == E else 0 for i in range(11))
-    d1 = tuple((1 if i == 0 else 0) - (1 if i == E else 0) for i in range(11))
-    d2 = tuple((1 if i == 1 else 0) - (1 if i == E else 0) for i in range(11))
-    l = tuple((1 if i in (0, 1) else 0) - (1 if i == E else 0) for i in range(11))
-    yt = ComponentSurface("Y~(Enriques)", L, K, {1: d1, 2: d2}, l_class=l)
-    zs = (del_pezzo_surface("Z1=dP1", 1, 1), del_pezzo_surface("Z2=dP1", 1, 2))
-    return yt, zs
-
-
-def _ruled_gram(n_exc):
-    # ⟨σ, f, e₁..e_n⟩ with σ²=1, σ·f=1, f²=0, eᵢ²=−1
-    n = 2 + n_exc
-    g = [[0] * n for _ in range(n)]
-    g[0][0] = 1
-    g[0][1] = g[1][0] = 1
-    for i in range(2, n):
-        g[i][i] = -1
-    return IntegralLattice(g)
-
-
-def _build_ell111():
-    L = _ruled_gram(2)  # σ, f, e₁, e₂
-    d1 = (2, -1, -1, 0)
-    d2 = (2, -1, 0, -1)
-    d3 = (1, 0, -1, -1)
-    l = (3, -1, -1, -1)
-    K = (-2, 1, 1, 1)
-    yt = ComponentSurface("Y~(1,1,1)", L, K, {1: d1, 2: d2, 3: d3}, l_class=l)
-    zs = tuple(del_pezzo_surface(f"Z{i}=dP1", 1, i) for i in (1, 2, 3))
-    return yt, zs
-
-
-def _build_ell211():
-    L = _ruled_gram(3)  # σ, f, e₁, e₂, e₃
-    d1 = (2, -1, 0, -1, -1)
-    d2 = (1, 0, -1, -1, 0)
-    d3 = (1, 0, -1, 0, -1)
-    l = (2, 0, -1, -1, -1)
-    K = (-2, 1, 1, 1, 1)
-    yt = ComponentSurface("Y~(2,1,1)", L, K, {1: d1, 2: d2, 3: d3}, l_class=l)
-    zs = (
-        del_pezzo_surface("Z1=dP2", 2, 1),
-        del_pezzo_surface("Z2=dP1", 1, 2),
-        del_pezzo_surface("Z3=dP1", 1, 3),
-    )
-    return yt, zs
-
-
-_BUILDERS = {
-    "rat21": _build_rat21,
-    "rat22": _build_rat22,
-    "rat11": _build_rat11,
-    "enriques": _build_enriques,
-    "ell111": _build_ell111,
-    "ell211": _build_ell211,
+# label: (Ỹ name, Ỹ lattice constructor, (D₁, …, D_k), [L], del Pezzo
+# degrees of Z₁..Z_k); lattices are built in `build_stratum_model`, so an
+# import builds none
+_MODELS = {
+    # h, ε₁..ε₁₀
+    "rat11": ("Y~(1,1)", lambda: blowup_lattice(10),
+              ((6,) + (-2,) * 9 + (-1,), (6,) + (-2,) * 8 + (-1, -2)),
+              (9,) + (-3,) * 8 + (-2, -2), (1, 1)),
+    # h, ε₁..ε₉, φ₁, φ₂
+    "rat21": ("Y~(2,1)", lambda: blowup_lattice(11),
+              ((6,) + (-2,) * 9 + (-1, -1), (3,) + (-1,) * 8 + (0, -1, -1)),
+              (6,) + (-2,) * 8 + (-1, -1, -1), (2, 1)),
+    # h, ε₁..ε₁₁, C
+    "rat22": ("Y~(2,2)", lambda: blowup_lattice(12),
+              ((4,) + (-1,) * 10 + (-2, -2), (3,) + (-1,) * 11 + (0,)),
+              (4,) + (-1,) * 10 + (-2, -1), (2, 2)),
+    # f₁, f₂, E8 block, e
+    "enriques": ("Y~(Enriques)", _enriques_lattice,
+                 ((1, 0) + (0,) * 8 + (-1,), (0, 1) + (0,) * 8 + (-1,)),
+                 (1, 1) + (0,) * 8 + (-1,), (1, 1)),
+    # σ, f, e₁, e₂, e₃
+    "ell211": ("Y~(2,1,1)", lambda: _ruled_lattice(3),
+               ((2, -1, 0, -1, -1), (1, 0, -1, -1, 0), (1, 0, -1, 0, -1)),
+               (2, 0, -1, -1, -1), (2, 1, 1)),
+    # σ, f, e₁, e₂
+    "ell111": ("Y~(1,1,1)", lambda: _ruled_lattice(2),
+               ((2, -1, -1, 0), (2, -1, 0, -1), (1, 0, -1, -1)),
+               (3, -1, -1, -1), (1, 1, 1)),
 }
 
 
 @lru_cache(maxsize=None)
 def build_stratum_model(label):
-    """Explicit glued model for a stratum label; all invariants verified;
-    cached."""
-    if label not in _BUILDERS:
+    """Explicit glued model for a stratum label from its row of `_MODELS`:
+    K = [L] − ΣDᵢ on Ỹ, and Zᵢ = dP_{dᵢ} glued along Dᵢ; all invariants
+    verified; cached."""
+    if label not in _MODELS:
         raise ValueError(f"unknown stratum label {label!r}")
-    yt, zs = _BUILDERS[label]()
+    name, lattice, curves, l_class, degrees = _MODELS[label]
+    K = tuple(x - sum(col) for x, col in zip(l_class, zip(*curves)))
+    yt = ComponentSurface(name, lattice(), K, dict(enumerate(curves, start=1)), l_class=l_class)
+    zs = tuple(del_pezzo_surface(f"Z{i}=dP{d}", d, i) for i, d in enumerate(degrees, start=1))
     model = GluedBoundaryModel(
         stratum=label,
         y_tilde=yt,
-        dp_components=tuple(zs),
+        dp_components=zs,
         ambient=direct_sum(yt.lattice, *(z.lattice for z in zs)),
     )
     _validate_model(model)
@@ -397,47 +316,62 @@ class RestrictionData:
 
     For each curve i: the del Pezzo side sends εⱼ ↦ pⱼ (and h ↦ 0), so a
     class v restricts to (v·D′ᵢ, Σⱼ vⱼ pⱼ); the Ỹ side is a 2×rank(Ỹ)
-    rational matrix constrained so that ψ kills every ξⱼ and [L].  ψᵢ is
-    the Zᵢ side minus the Ỹ side, stored as (Nᵢ, dᵢ): a 2×rank(ambient)
-    integer matrix over one denominator, ψᵢ = Nᵢ/dᵢ.
+    rational matrix constrained so that ψ kills every ξⱼ and [L].  Both are
+    drawn as numerators over 97 and kept as two integer draw rows
+    x = (Ỹ row, p₁, p₂, …) per curve; ψᵢ is linear in them (`_draw_maps`).
     """
 
     z_points: tuple  # per curve: tuple of TorusPoint (one per εⱼ of Zᵢ)
-    psi_matrices: tuple  # per curve: (2×rank(ambient) int rows Nᵢ, dᵢ)
+    draws: tuple  # per curve: two int draw rows (Ỹ row, p₁, p₂, …)
 
 
 @lru_cache(maxsize=None)
-def _constraint_columns(label):
-    """(C, J, S, D): the Ỹ constraint classes C = (D₁..D_k, L) of a stratum,
-    their pivot columns J, and the inverse transpose of their invertible
-    (k+1)×(k+1) block sub on J as the integer S = D·(subᵀ)⁻¹.  One Smith
-    form U·sub·V = diag(f) gives D·sub⁻¹ = V·diag(D/f)·U, with D the last
-    invariant factor."""
+def _draw_maps(label):
+    """ψ as one integer linear map of the draws per curve i: (Gᵢ, d), Gᵢ a
+    24×w integer matrix and d = 97·D, with row r of ψᵢ on Λ equal to
+    Gᵢ·x_r/d mod ℤ² for the draw rows x_r = (Ỹ row, p₁, p₂, …).
+
+    The Ỹ row is corrected on the pivot columns J of the constraint classes
+    C = (D₁..D_k, L) so that r(Dⱼ) = 0 (j ≠ i), r(Dᵢ) = Σpⱼ (the K_{Zᵢ}
+    restriction) and r(L) = 0, through S = D·(subᵀ)⁻¹ for the invertible
+    block sub of C on J: one Smith form U·sub·V = diag(f) gives
+    D·sub⁻¹ = V·diag(D/f)·U, with D the last invariant factor.  ψᵢ is minus
+    the Ỹ side plus εⱼ ↦ pⱼ on Zᵢ, so for an ambient v the coefficient of
+    ψᵢ(v) on Ỹ draw u is −D·vᵤ + Σⱼ (CᵀS)ᵤⱼ·v_{Jⱼ}, and on pₘ it is
+    D·v_{pₘ} − Σⱼ Sᵢⱼ·v_{Jⱼ}; on the rows of `lifts` these are Gᵢ.  The same
+    coefficients of every ξⱼ and of [L] are certified ≡ 0 mod d, so ψ kills
+    them for every draw; cached, so this runs once per label."""
     model = build_stratum_model(label)
     yt = model.y_tilde
-    classes = tuple(tuple(yt.double_curves[i + 1]) for i in range(model.k)) + (tuple(yt.l_class),)
+    n = yt.lattice.rank
+    classes = [yt.double_curves[i + 1] for i in range(model.k)] + [yt.l_class]
     cols = exact.pivot_columns(classes)
     if len(cols) < len(classes):
         raise ValueError("constraint classes are rank deficient")
     u, facs, v, _ = exact.smith_normal_form([[row[t] for t in cols] for row in classes])
-    scaled_u = [[x * (facs[-1] // f) for x in row] for row, f in zip(u, facs)]
-    return classes, cols, exact.transpose(exact.mat_mul(v, scaled_u)), facs[-1]
+    den = facs[-1]
+    scaled_u = [[x * (den // f) for x in row] for row, f in zip(u, facs)]
+    S = exact.transpose(exact.mat_mul(v, scaled_u))
+    CtS = exact.mat_mul(exact.transpose(classes), S)
+    d = 97 * den
+    lifts = compute_lambda(label).lifts
+    maps, off = [], n
+    for i, z in enumerate(model.dp_components):
+        ps = range(off + 1, off + z.lattice.rank)
+        off += z.lattice.rank
 
+        def coeffs(a):
+            a_j = [a[t] for t in cols]
+            s_i = sum(x * y for x, y in zip(S[i], a_j))
+            y_part = [c - den * x for c, x in zip(exact.mat_vec(CtS, a_j), a)]
+            return y_part + [den * a[t] - s_i for t in ps]
 
-def _psi_row(model, i, p, raw):
-    """One integer row of ψᵢ over 97·D, linear in the draws: the numerators
-    p = (0, p₁, …) on Zᵢ's basis and raw on Ỹ's.  The Ỹ row is raw with
-    its constraint columns J corrected so that r(Dⱼ) = 0 (j ≠ i),
-    r(Dᵢ) = Σpⱼ (the K_{Zᵢ} restriction) and r(L) = 0:
-    Δ_J·subᵀ = target − raw·classesᵀ.  ψᵢ is minus the Ỹ side on Ỹ,
-    εⱼ ↦ pⱼ on Zᵢ, zero elsewhere."""
-    classes, cols, subt_inv, den = _constraint_columns(model.stratum)
-    rhs = [(sum(p) if j == i else 0) - x for j, x in enumerate(exact.mat_vec(classes, raw))]
-    row = [x * den for x in raw]
-    for j, dx in zip(cols, exact.vec_mat(rhs, subt_inv)):  # Δ_J = rhs·(subᵀ)⁻¹
-        row[j] += dx
-    z_row = model.embed_z(i, [x * den for x in p])
-    return tuple(-x for x in row) + z_row[len(raw):]
+        if any(c % d for x in model.xi for c in coeffs(x)):
+            raise exact.VerificationError("ψ does not kill ξ")
+        if any(c % d for c in coeffs(model.l_total)):
+            raise exact.VerificationError("ψ does not kill [L]")
+        maps.append((tuple(tuple(coeffs(a)) for a in lifts), d))
+    return tuple(maps)
 
 
 @lru_cache(maxsize=None)
@@ -459,33 +393,21 @@ def psi_summands(label):
 @lru_cache(maxsize=None)
 def _generic_pattern(label):
     """Per curve i, the summands on which ψᵢ is not identically zero mod ℤ²
-    as a function of the draws; each as the simple roots, in sparse ambient
-    coordinates ((t, aₜ), …), that ψᵢ does not kill identically.  ψᵢ(a) is
-    an integer linear form in the draws over dᵢ, so it is identically zero
-    exactly when each draw's coefficient is ≡ 0 mod dᵢ."""
-    model = build_stratum_model(label)
-    lifts = compute_lambda(label).lifts
-    n = model.y_tilde.lattice.rank
-    d = 97 * _constraint_columns(label)[3]
-    summands = [[_lift(s, lifts) for s in simples] for _, simples in psi_summands(label)]
+    as a function of the draws; each as the draw-coefficient vectors s·Gᵢ
+    of its simple roots s that ψᵢ does not kill identically.  ψᵢ(s) is the
+    integer linear form (s·Gᵢ)·x in the draws over d, so it is identically
+    zero exactly when each coefficient is ≡ 0 mod d.  A simple root has few
+    nonzero Λ coordinates, so s·Gᵢ sums only the rows of Gᵢ they select."""
     pattern = []
-    for i, z in enumerate(model.dp_components):
-        w = n + z.lattice.rank - 1  # draws per row: raw on Ỹ, then p₁, …
-        units = [[int(t == u) for t in range(w)] for u in range(w)]
-        forms = [_psi_row(model, i, [0] + e[n:], e[:n]) for e in units]
-        live = (
-            tuple(a for a in roots if any(sum(f[t] * x for t, x in a) % d for f in forms))
-            for roots in summands
+    for g, d in _draw_maps(label):
+        forms = (
+            (tuple(map(sum, zip(*([c * x for x in g[q]] for q, c in enumerate(s) if c))))
+             for s in simples)
+            for _, simples in psi_summands(label)
         )
+        live = (tuple(f for f in group if any(x % d for x in f)) for group in forms)
         pattern.append(tuple(group for group in live if group))
     return tuple(pattern)
-
-
-def _lift(s, lifts):
-    """s·lifts in sparse form ((t, aₜ), …), summed from the rows of lifts
-    that the sparse s uses."""
-    rows = [[c * x for x in lifts[k]] for k, c in enumerate(s) if c]
-    return tuple((t, x) for t, x in enumerate(map(sum, zip(*rows))) if x)
 
 
 # a draw is not generic with probability about 97⁻², so this many in a row is a bug
@@ -502,25 +424,21 @@ def generate_restriction_data(model, seed):
     random stream, which keeps every generic first draw."""
     rng = random.Random(seed)
     n = model.y_tilde.lattice.rank
-    d = 97 * _constraint_columns(model.stratum)[3]
+    maps = _draw_maps(model.stratum)
     pattern = _generic_pattern(model.stratum)
     for _ in range(_MAX_DRAWS):
         z_nums = [
             [(rng.randrange(97), rng.randrange(97)) for _ in range(z.lattice.rank - 1)]
             for z in model.dp_components
         ]
-        psi_matrices = []
-        for i in range(model.k):
+        draws = []
+        for pts in z_nums:
             raw = [[rng.randrange(97) for _ in range(n)] for _ in range(2)]
-            rows = tuple(
-                _psi_row(model, i, [0] + [xy[r] for xy in z_nums[i]], raw[r])
-                for r in range(2)
-            )
-            psi_matrices.append((rows, d))
+            draws.append(tuple(tuple(raw[r] + [xy[r] for xy in pts]) for r in range(2)))
         # ψᵢ nonzero mod ℤ² on some live root of each of its live summands
         if all(
-            any(sum(row[t] * x for t, x in a) % d for a in group for row in rows)
-            for (rows, _), groups in zip(psi_matrices, pattern)
+            any(sum(a * b for a, b in zip(f, x)) % d for f in group for x in rows)
+            for rows, groups, (_, d) in zip(draws, pattern, maps)
             for group in groups
         ):
             break
@@ -529,23 +447,18 @@ def generate_restriction_data(model, seed):
     z_points = tuple(
         tuple(TorusPoint((Fraction(a, 97), Fraction(b, 97))) for a, b in pts) for pts in z_nums
     )
-    return RestrictionData(z_points=z_points, psi_matrices=tuple(psi_matrices))
+    return RestrictionData(z_points=z_points, draws=tuple(draws))
 
 
-def extension_map(model, lam, restriction):
+def extension_map(model, restriction):
     """ψ on Λ coordinates: one (Mᵢ, dᵢ) per curve, Mᵢ a 2×24 integer matrix
-    with ψᵢ(λ) = Mᵢλ/dᵢ mod ℤ².  Verifies ψ(ξⱼ) = ψ([L]) = 0 identically."""
-    psi = restriction.psi_matrices
-
-    def kills(v):
-        return all(t % d == 0 for n, d in psi for t in exact.mat_vec(n, v))
-
-    if not all(kills(x) for x in model.xi):
-        raise exact.VerificationError("ψ does not kill ξ")
-    if not kills(model.l_total):
-        raise exact.VerificationError("ψ does not kill [L]")
-    # row r of Mᵢ = Nᵢ·liftsᵀ is lifts·(row r of Nᵢ)
-    return tuple((tuple(tuple(exact.mat_vec(lam.lifts, row)) for row in n), d) for n, d in psi)
+    with ψᵢ(λ) = Mᵢλ/dᵢ mod ℤ², row r of Mᵢ being Gᵢ·x_r for the draw rows
+    x_r of `restriction`.  That ψ kills ξⱼ and [L] for every draw is
+    certified once per label by `_draw_maps`."""
+    return tuple(
+        (tuple(tuple(exact.mat_vec(g, x)) for x in rows), d)
+        for (g, d), rows in zip(_draw_maps(model.stratum), restriction.draws)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +477,7 @@ def rat22_class_solve():
     if sols != [(4, -2)]:
         raise exact.VerificationError(f"rat22 class constraints solved by {sols}")
     a, b = sols[0]
-    cls = _rat_basis_class(13, h=a, eps=[(j, -1) for j in range(1, 11)] + [(11, b)])
+    cls = (a,) + (-1,) * 10 + (b, 0)  # h, ε₁..ε₁₁, C
     return a, b, cls
 
 

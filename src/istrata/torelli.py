@@ -267,7 +267,7 @@ def gen_fixture(label, seed):
     frame = build_frame(label)
     pairs = pair_indices(frame)
     restriction = generate_restriction_data(model, seed)
-    psi = extension_map(model, lam, restriction)
+    psi = extension_map(model, restriction)
     summands = []
     for lbl, simples in psi_summands(label):
         flags, points = [], []

@@ -181,9 +181,8 @@ def test_criterion_7_extension_map_structure(seed):
     for label, single in [("rat11", 2), ("rat21", 1)]:
         assert torelli.gen_fixture(label, seed)[0].single_factor_count() == single
     model = build_stratum_model("enriques")
-    lam = compute_lambda("enriques")
     markings = compute_JW1(build_frame("enriques"))
-    psi = extension_map(model, lam, generate_restriction_data(model, seed))
+    psi = extension_map(model, generate_restriction_data(model, seed))
 
     def assembled(v):
         # ψ(v) = Σᵢ Fᵢ·ψᵢ(v) in JW₁, with ψᵢ(v) = Mᵢv/dᵢ mod ℤ²

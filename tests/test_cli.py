@@ -112,6 +112,17 @@ def _pair_index_zero(obj):
     obj["pair_pattern"][0] = 0
 
 
+def _zero_flags_negated(obj):
+    # used to classify as the fixture's own label
+    s = obj["summands"][0]
+    s["zero_flags"] = [not z for z in s["zero_flags"]]
+
+
+def _pattern_not_the_pair_orders(obj):
+    # [2] used to classify a (2,1) fixture as enriques
+    obj["pair_pattern"] = [2]
+
+
 class TestCli:
     def run(self, capsys, *argv):
         code = main(list(argv))
@@ -313,6 +324,8 @@ class TestCli:
             _simple_root_entry_as_string,
             _kernel_order_below_one,
             _pair_index_zero,
+            _zero_flags_negated,
+            _pattern_not_the_pair_orders,
         ],
         ids=lambda f: f.__name__.strip("_"),
     )
@@ -401,7 +414,7 @@ class TestCli:
             first,
             simple_roots=first["simple_roots"][1:],
             zero_flags=[True] * 3,
-            psi_points=[pts[1:] for pts in first["psi_points"]],
+            psi_points=[[["0", "0"]] * 7] * 3,
         )
         first["simple_roots"] = first["simple_roots"][:1]
         first["psi_points"] = [pts[:1] for pts in first["psi_points"]]

@@ -85,6 +85,33 @@ class TestPolynomials:
 
 
 class TestChanges:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"gamma": 0.5},
+            {"gamma": True},
+            {"gamma": None},
+            {"alpha": (True, 0)},
+            {"alpha": (0, 1.0)},
+            {"alpha": (1j, 0)},
+            {"beta": (0, 0, "1/2", 0)},
+            {"beta": (0, 0, 0, Decimal("0.1"))},
+        ],
+        ids=["float-gamma", "bool-gamma", "none-gamma", "bool-alpha", "float-alpha",
+             "complex-alpha", "str-beta", "decimal-beta"],
+    )
+    def test_change_rejects_inexact_parameters(self, params):
+        # gamma=0.5 used to be kept, and composed with itself gave γ = 1.0
+        args = {"alpha": (0, 0), "beta": (0,) * 4, "gamma": 0, **params}
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            ChangeOfVariables(**args)
+
+    def test_change_parameters_kept_as_fractions(self):
+        c = ChangeOfVariables(alpha=(0, 1), beta=(Fraction(1, 2), 0, 0, -3), gamma=2)
+        assert all(type(p) is Fraction for p in (*c.alpha, *c.beta, c.gamma))
+        assert c.beta == (Fraction(1, 2), 0, 0, -3)
+        assert compose_changes(c, c).gamma == 4
+
     def test_identity_fixes(self):
         p = random_deformation(0)
         assert apply_change(p, ChangeOfVariables.identity()).coeffs == p.coeffs

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from istrata import exact
+from istrata import exact, strata
 from istrata import io as serial
 from istrata.cli import main
 from istrata.lattices import (
@@ -621,39 +621,61 @@ def test_roots_cli_on_hostile_grams(g):
 # the fixture path on integer numerators against a Fraction oracle
 
 
+def naive_psi_row(model, i, p, raw):
+    """One row of ψᵢ on the ambient in Fractions, for the Fraction draws
+    p = (p₁, …) on Zᵢ's εⱼ and raw on Ỹ: (subᵀ)⁻¹ one unit-vector solve per
+    row, raw corrected on the pivot columns so that r(Dⱼ) = 0 (j ≠ i),
+    r(Dᵢ) = Σpⱼ and r(L) = 0, then ψᵢ = −r on Ỹ and εⱼ ↦ pⱼ on Zᵢ."""
+    yt = model.y_tilde
+    classes = [list(yt.double_curves[j + 1]) for j in range(model.k)] + [list(yt.l_class)]
+    cols = exact.pivot_columns(classes)
+    sub = [[row[t] for t in cols] for row in classes]
+    subt_inv = [exact.solve_unique(sub, e) for e in exact.identity_matrix(len(sub))]
+    rhs = [(sum(p) if j == i else 0) - sum(x * y for x, y in zip(raw, c))
+           for j, c in enumerate(classes)]
+    delta = [sum(x * y for x, y in zip(rhs, col)) for col in zip(*subt_inv)]
+    row = list(raw)
+    for idx, j in enumerate(cols):
+        row[j] += delta[idx]
+    z_row = model.embed_z(i, [0] + list(p))
+    return [-x for x in row] + list(z_row[len(raw):])
+
+
 def naive_psi_rows(model, seed):
     """ψᵢ on the ambient as 2×rank(ambient) Fraction rows per curve, computed
-    in Fractions throughout: the same draws, (subᵀ)⁻¹ one unit-vector solve
-    per row, the constraint correction on Fraction rows."""
+    in Fractions throughout from the seed's first draws."""
     rng = random.Random(seed)
 
     def rnd():
         return Fraction(rng.randrange(97), 97)
 
-    yt = model.y_tilde
-    n = yt.lattice.rank
+    n = model.y_tilde.lattice.rank
     z_points = [
         [(rnd(), rnd()) for _ in range(z.lattice.rank - 1)] for z in model.dp_components
     ]
-    classes = [list(yt.double_curves[i + 1]) for i in range(model.k)] + [list(yt.l_class)]
-    cols = exact.pivot_columns(classes)
-    sub = [[row[t] for t in cols] for row in classes]
-    subt_inv = [exact.solve_unique(sub, e) for e in exact.identity_matrix(len(sub))]
     out = []
     for i in range(model.k):
         raw = [[rnd() for _ in range(n)] for _ in range(2)]
-        rows = []
-        for r in range(2):
-            sum_p = sum(p[r] for p in z_points[i])
-            rhs = [(sum_p if j == i else 0) - sum(x * y for x, y in zip(raw[r], c))
-                   for j, c in enumerate(classes)]
-            delta = [sum(x * y for x, y in zip(rhs, col)) for col in zip(*subt_inv)]
-            for idx, j in enumerate(cols):
-                raw[r][j] += delta[idx]
-            z_row = model.embed_z(i, [0] + [p[r] for p in z_points[i]])
-            rows.append([-x for x in raw[r]] + list(z_row[n:]))
-        out.append(rows)
+        out.append([naive_psi_row(model, i, [p[r] for p in z_points[i]], raw[r]) for r in range(2)])
     return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(STRATUM_LABELS), st.data())
+def test_draw_maps_match_fraction_oracle(label, data):
+    # ψᵢ on the Λ basis for integer draw rows x = (Ỹ row, p₁, p₂, …) over 97
+    # that no seed makes: Gᵢx/d exactly equals the Fraction route on the lifts
+    model = build_stratum_model(label)
+    lifts = compute_lambda(label).lifts
+    n = model.y_tilde.lattice.rank
+    for i, (g, d) in enumerate(strata._draw_maps(label)):
+        w = n + model.dp_components[i].lattice.rank - 1
+        assert len(g) == 24 and all(len(r) == w and all(type(t) is int for t in r) for r in g)
+        x = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=w, max_size=w))
+        row = naive_psi_row(model, i, [Fraction(t, 97) for t in x[n:]],
+                            [Fraction(t, 97) for t in x[:n]])
+        want = [sum(a * b for a, b in zip(row, lift)) for lift in lifts]
+        assert [Fraction(t, d) for t in exact.mat_vec(g, x)] == want
 
 
 @settings(max_examples=30, deadline=None)

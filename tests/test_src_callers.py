@@ -1,9 +1,9 @@
-"""Every public function, method and dataclass field of ``src/istrata`` is read.
+"""Every function, method, constant and dataclass field of ``src/istrata`` is read.
 
-The scan ``ast``-parses each module.  A module-level function whose name does
-not start with an underscore must be named, as a whole word, somewhere in the
-Python files of ``src/``, ``demos/`` or ``perfbench/`` outside the lines of its
-own definition.  A public method or property of a module-level class counts
+The scan ``ast``-parses each module.  A module-level function, public or
+private, and a module-level ``_name`` constant must be named, as a whole word,
+somewhere in the Python files of ``src/``, ``demos/`` or ``perfbench/``
+outside the lines of its own definition.  A public method or property of a module-level class counts
 as called only where ``.name`` appears outside its definition, and a field of
 a dataclass only where ``.name`` appears at all.  Comments and docstrings are
 blanked first, so a name they mention is not a caller.  Tests do not count.
@@ -48,13 +48,31 @@ def _is_dataclass(cls):
     return False
 
 
-def _public_defs(tree):
-    """(qualified name, pattern, first line, last line) of each public
-    function, method and dataclass field; a field has no excluded lines."""
+def _private_constants(node):
+    """The ``_name`` (not dunder) targets of a module-level assignment."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    names = [t for tgt in targets for t in (tgt.elts if isinstance(tgt, ast.Tuple) else [tgt])]
+    return [
+        t.id for t in names
+        if isinstance(t, ast.Name) and t.id.startswith("_") and not t.id.startswith("__")
+    ]
+
+
+def _defs(tree):
+    """(qualified name, pattern, first line, last line) of each module-level
+    function and ``_name`` constant, and of each public method and dataclass
+    field; a field has no excluded lines."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        if isinstance(node, ast.FunctionDef):
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             yield node.name, rf"\b{node.name}\b", first, node.end_lineno
+        for name in _private_constants(node):
+            yield name, rf"\b{name}\b", node.lineno, node.end_lineno
         if not isinstance(node, ast.ClassDef):
             continue
         for f in node.body:
@@ -95,7 +113,7 @@ def _uncalled():
     }
     out = set()
     for path in sorted((ROOT / "src" / "istrata").glob("*.py")):
-        for name, pattern, first, last in _public_defs(ast.parse(path.read_text())):
+        for name, pattern, first, last in _defs(ast.parse(path.read_text())):
             word = re.compile(pattern)
             named = any(
                 word.search(line)

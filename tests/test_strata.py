@@ -1,9 +1,7 @@
-import dataclasses
 import hashlib
 import json
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -26,6 +24,7 @@ from istrata.strata import (
 )
 from istrata.torelli import gen_fixture
 from istrata.tori import TorusPoint, kernel_points
+from test_properties import naive_psi_rows
 
 EXPECTED_ROOTS = {
     "rat11": ("E8+E8+E8", 720, 1),
@@ -34,6 +33,20 @@ EXPECTED_ROOTS = {
     "enriques": ("E8+E8+E8", 720, 1),
     "ell211": ("E8+E8+E8", 720, 1),
     "ell111": ("E8+E8+E8", 720, 1),
+}
+
+
+E8 = tuple(range(8))
+# per label and curve: (summand index, indices of its live simple roots),
+# the roots on which ψᵢ is not identically zero as a function of the draws
+PINNED_PATTERN = {
+    "rat11": (((1, E8), (2, E8)), ((0, E8), (1, E8))),
+    "rat21": (((1, E8), (2, E8)), ((0, E8), (1, (7,)), (2, E8))),
+    "rat22": (((1, tuple(range(7))), (2, tuple(range(10)))),
+              ((0, tuple(range(7))), (2, tuple(range(10))))),
+    "enriques": (((1, E8), (2, E8)), ((0, E8), (1, E8))),
+    "ell211": (((1, E8),), ((1, (0, 2)), (2, E8)), ((0, E8), (1, (0, 2)))),
+    "ell111": (((0, E8),), ((1, E8),), ((2, E8),)),
 }
 
 
@@ -204,73 +217,68 @@ def _psi_point(md, v):
     return TorusPoint(tuple(Fraction(t, d) for t in exact.mat_vec(m, v)))
 
 
-def _shift_row(rd, i, shift):
-    """`rd` with row 0 of ψᵢ = Nᵢ/dᵢ on the ambient shifted by the rational
-    vector `shift`, carried over the common denominator e."""
-    psi = list(rd.psi_matrices)
-    (row0, row1), d = psi[i]
-    e = lcm(d, *(Fraction(y).denominator for y in shift))
-    row0 = tuple(x * (e // d) + int(Fraction(y) * e) for x, y in zip(row0, shift))
-    psi[i] = ((row0, tuple(x * (e // d) for x in row1)), e)
-    return dataclasses.replace(rd, psi_matrices=tuple(psi))
+def _corrupted_draw_maps(monkeypatch, label, src, dst):
+    """`_draw_maps(label)` recomputed with column src of the Smith transform U
+    added to its column dst ≠ src.  Row dst of S = D·(subᵀ)⁻¹ then gains row
+    src, so Δ_J·subᵀ = D·rhs is off by D·rhs_dst in constraint src alone:
+    r(D_{src+1}), or r(L) for the last."""
+    compute_lambda(label)  # cached first: only ψ's Smith form sees the patch
+    snf = exact.smith_normal_form
+
+    def corrupted(a):
+        u, facs, v, w = snf(a)
+        u = [row[:dst] + [row[dst] + row[src]] + row[dst + 1:] for row in u]
+        return u, facs, v, w
+
+    monkeypatch.setattr(exact, "smith_normal_form", corrupted)
+    return strata._draw_maps.__wrapped__(label)
 
 
 class TestExtensionMap:
     def test_kills_xi_and_L_all_strata(self):
         for label in STRATUM_LABELS:
             m = build_stratum_model(label)
-            lam = compute_lambda(label)
             rd = generate_restriction_data(m, 5)
-            # raises if ψ(ξ) or ψ(L) ≠ 0
-            extension_map(m, lam, rd)
+            # `_draw_maps` raises if ψ(ξ) or ψ(L) ≠ 0
+            extension_map(m, rd)
 
-    def test_rejects_psi_not_killing_xi(self):
-        # one entry of ψ₁ shifted by 1/101 on a coordinate where ξ₁ is
-        # nonzero: ψ₁(ξ₁) moves by ξ₁[j]/101, which is not an integer
-        m = build_stratum_model("rat21")
-        rd = generate_restriction_data(m, 5)
-        j = next(j for j, x in enumerate(m.xi[0]) if x)
-        shift = [Fraction(1, 101) if t == j else 0 for t in range(m.ambient.rank)]
+    def test_rejects_psi_not_killing_xi(self, monkeypatch):
+        # the constraint r(D₁) broken: ψ(ξ₁) moves by a form with
+        # coefficients D·C over 97·D
         with pytest.raises(exact.VerificationError, match="does not kill ξ"):
-            extension_map(m, compute_lambda("rat21"), _shift_row(rd, 1, shift))
+            _corrupted_draw_maps(monkeypatch, "rat21", 0, 1)
 
-    def test_rejects_psi_not_killing_L(self):
-        # ψ₁ shifted by ([L]·v)/101: zero on every ξⱼ (ξⱼ·[L] = 0), 1/101
-        # on [L] ([L]² = 1)
-        m = build_stratum_model("ell211")
-        rd = generate_restriction_data(m, 5)
-        gram = m.ambient.gram_lists()
-        shift = [Fraction(x, 101) for x in exact.vec_mat(list(m.l_total), gram)]
+    def test_rejects_psi_not_killing_L(self, monkeypatch):
+        # the constraint r(L) broken, every r(Dⱼ) kept: ψ still kills each ξⱼ
         with pytest.raises(exact.VerificationError, match=r"does not kill \[L\]"):
-            extension_map(m, compute_lambda("ell211"), _shift_row(rd, 1, shift))
+            _corrupted_draw_maps(monkeypatch, "ell211", 3, 0)
 
     @pytest.mark.parametrize("label", STRATUM_LABELS)
     def test_integer_psi_matches_fraction_route(self, label):
-        # Mᵢλ/dᵢ against ψᵢ applied in Fractions to the ambient lift of λ
+        # Mᵢλ/dᵢ against ψᵢ computed in Fractions (`naive_psi_rows`) and
+        # applied to the ambient lift of λ
         m = build_stratum_model(label)
         lam = compute_lambda(label)
         rng = random.Random(24)
         for seed in (0, 7, 123456):
             rd = generate_restriction_data(m, seed)
-            psi = extension_map(m, lam, rd)
-            assert len(psi) == m.k
-            for (mi, d), (ni, di) in zip(psi, rd.psi_matrices):
-                # ψᵢ = Nᵢ/dᵢ on the ambient, integer rows over one denominator
-                assert d == di and type(d) is int and d > 0
-                assert all(type(x) is int for row in ni for x in row)
+            assert all(type(x) is int for rows in rd.draws for row in rows for x in row)
+            psi = extension_map(m, rd)
+            naive = naive_psi_rows(m, seed)
+            assert len(psi) == len(naive) == m.k
+            for mi, d in psi:
+                assert type(d) is int and d > 0
                 assert len(mi) == 2
                 assert all(len(r) == 24 and all(type(x) is int for x in r) for r in mi)
             for _ in range(20):
                 v = [rng.randint(-5, 5) for _ in range(24)]
                 amb = exact.vec_mat(v, lam.lifts)
-                for md, (ni, di) in zip(psi, rd.psi_matrices):
-                    fr = [[Fraction(x, di) for x in row] for row in ni]
-                    assert _psi_point(md, v) == TorusPoint(tuple(exact.mat_vec(fr, amb)))
+                for md, rows in zip(psi, naive):
+                    assert _psi_point(md, v) == TorusPoint(tuple(exact.mat_vec(rows, amb)))
 
     def test_additivity(self):
         m = build_stratum_model("rat11")
-        lam = compute_lambda("rat11")
-        psi = extension_map(m, lam, generate_restriction_data(m, 6))
+        psi = extension_map(m, generate_restriction_data(m, 6))
         rng = random.Random(22)
         for _ in range(5):
             a = [rng.randint(-2, 2) for _ in range(24)]
@@ -320,6 +328,23 @@ class TestExtensionMap:
                 for z in m.dp_components
             )
             assert (generate_restriction_data(m, seed).z_points == first) is kept
+
+    @pytest.mark.parametrize("label", STRATUM_LABELS)
+    def test_pinned_generic_pattern(self, label, monkeypatch):
+        # each simple root alone as the only summand: ψᵢ is live on it
+        # exactly when curve i keeps a group
+        pinned = PINNED_PATTERN[label]
+        live = [[] for _ in pinned]
+        for j, (lbl, simples) in enumerate(strata.psi_summands(label)):
+            for r, s in enumerate(simples):
+                monkeypatch.setattr(strata, "psi_summands", lambda _, one=((lbl, (s,)),): one)
+                for i, groups in enumerate(strata._generic_pattern.__wrapped__(label)):
+                    if groups:
+                        live[i].append((j, r))
+        assert live == [[(j, r) for j, roots in curve for r in roots] for curve in pinned]
+        monkeypatch.undo()
+        sizes = [[len(group) for group in curve] for curve in strata._generic_pattern(label)]
+        assert sizes == [[len(roots) for _, roots in curve] for curve in pinned]
 
     def test_redraw_gives_up(self, monkeypatch):
         # a root with no entries: no draw makes ψ nonzero on it
