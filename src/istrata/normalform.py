@@ -108,13 +108,14 @@ class ChangeOfVariables:
     def __post_init__(self):
         if len(self.alpha) != 2 or len(self.beta) != 4:
             raise ValueError("need two α and four β parameters")
-        # every parameter exact: an int or a Fraction, kept as a Fraction
-        for name in ("alpha", "beta"):
-            params = getattr(self, name)
-            if not all(type(p) is Fraction for p in params):
-                object.__setattr__(self, name, tuple(map(as_rational, params)))
-        if type(self.gamma) is not Fraction:
-            object.__setattr__(self, "gamma", as_rational(self.gamma))
+        # every parameter exact: an int or a Fraction, kept as a Fraction; the
+        # chained test is the fast path of the reduction's own changes
+        (a1, a2), (b1, b2, b3, b4), g = self.alpha, self.beta, self.gamma
+        if not (type(a1) is type(a2) is type(b1) is type(b2) is type(b3) is type(b4)
+                is type(g) is Fraction):
+            object.__setattr__(self, "alpha", tuple(map(as_rational, self.alpha)))
+            object.__setattr__(self, "beta", tuple(map(as_rational, self.beta)))
+            object.__setattr__(self, "gamma", as_rational(g))
 
     @classmethod
     def identity(cls):
