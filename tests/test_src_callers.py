@@ -3,12 +3,12 @@
 The scan ``ast``-parses each module.  A module-level function, public or
 private, and a module-level ``_name`` constant must be named, as a whole word,
 somewhere in the Python files of ``src/``, ``demos/`` or ``perfbench/``
-outside the lines of its own definition.  A public method or property of a module-level class counts
-as called only where ``.name`` appears outside its definition, and a field of
-a dataclass only where ``.name`` appears at all.  Comments and docstrings are
-blanked first, so a name they mention is not a caller.  Tests do not count.
-Code that only tests read is either deleted or listed in ``ALLOWED`` with its
-reason.
+outside the lines of its own definition.  A public method or property of a
+module-level class counts as called only where ``.name`` appears outside its
+definition, and a field of a dataclass only where ``.name`` appears at all.
+Comments and docstrings are blanked first, so a name they mention is not a
+caller.  Tests do not count.  Code that only tests read is either deleted or
+listed in ``ALLOWED`` with its reason.
 
 The check is by name, not by binding: ``.order`` passes as soon as any object
 has that attribute read, whatever its class.
