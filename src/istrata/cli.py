@@ -2,7 +2,8 @@
 
 Every subcommand prints a deterministic JSON report on stdout and a one-line
 summary on stderr.  Exit codes: 0 success, 1 a verification failed, 2 bad
-input, 3 a mathematical precondition is not met.
+input, 3 a mathematical precondition is not met.  Each subcommand imports the
+modules it runs, so a cold process compiles only those.
 """
 
 from __future__ import annotations
@@ -11,18 +12,9 @@ import argparse
 import json
 import sys
 
+from . import STRATUM_LABELS
 from . import io as serial
-from . import normalform, strata, torelli
 from .exact import VerificationError
-from .monodromy import (
-    build_frame,
-    operator_sum,
-    pair_index_pattern,
-    picard_lefschetz,
-    primitivity_certificate,
-    weight_data,
-)
-from .roots import decompose_root_system, enumerate_roots
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -45,6 +37,8 @@ def _certificate(name, expected, computed):
 
 
 def cmd_verify_stratum(args):
+    from . import strata
+
     label = args.label
     preds = strata.lambda_predicates(label)
     lam = strata.compute_lambda(label)
@@ -67,6 +61,8 @@ def cmd_verify_stratum(args):
 
 
 def cmd_classify(args):
+    from . import torelli
+
     if args.input:
         ds = serial.dataset_from_json(serial.load_path(args.input))
     else:
@@ -79,12 +75,15 @@ def cmd_classify(args):
 
 def cmd_roots(args):
     if args.input:
+        from .roots import decompose_root_system, enumerate_roots
+
         lattice = serial.lattice_from_json(serial.load_path(args.input))
         roots = enumerate_roots(lattice)
         dec = decompose_root_system(lattice, roots)
     else:
-        lam = strata.compute_lambda(args.label)
-        dec = lam.root_data
+        from . import strata
+
+        dec = strata.compute_lambda(args.label).root_data
     report = {
         "label": dec.label,
         "root_count": dec.total_root_count,
@@ -97,6 +96,15 @@ def cmd_roots(args):
 
 
 def cmd_monodromy(args):
+    from .monodromy import (
+        build_frame,
+        operator_sum,
+        pair_index_pattern,
+        picard_lefschetz,
+        primitivity_certificate,
+        weight_data,
+    )
+
     frame = build_frame(args.label)
     ops = [picard_lefschetz(frame, i) for i in range(1, frame.k + 1)]
     rank = weight_data(operator_sum(ops))
@@ -114,6 +122,8 @@ def cmd_monodromy(args):
 
 
 def cmd_reconstruct(args):
+    from . import torelli
+
     if args.input:
         ds = serial.dataset_from_json(serial.load_path(args.input))
     else:
@@ -131,6 +141,8 @@ def cmd_reconstruct(args):
 
 
 def cmd_normal_form(args):
+    from . import normalform
+
     if args.input:
         poly = serial.polynomial_from_json(serial.load_path(args.input))
     else:
@@ -152,6 +164,8 @@ def cmd_normal_form(args):
 
 
 def cmd_gen_fixture(args):
+    from . import torelli
+
     ds, _ = torelli.gen_fixture(args.label, args.seed)
     _emit(serial.dataset_to_json(ds), f"fixture for {args.label}, seed {args.seed}")
     return EXIT_OK
@@ -164,23 +178,23 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-stratum", help="check the Λ lattice predicates")
-    p.add_argument("label", choices=strata.STRATUM_LABELS)
+    p.add_argument("label", choices=STRATUM_LABELS)
     p.set_defaults(func=cmd_verify_stratum)
 
     p = sub.add_parser("classify", help="name the stratum of a boundary dataset")
     p.add_argument("--input", help="dataset JSON file")
-    p.add_argument("--label", choices=strata.STRATUM_LABELS)
+    p.add_argument("--label", choices=STRATUM_LABELS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("roots", help="root system of Λ or of a lattice file")
     p.add_argument("--input", help="lattice JSON file")
-    p.add_argument("--label", choices=strata.STRATUM_LABELS)
+    p.add_argument("--label", choices=STRATUM_LABELS)
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("monodromy", help="frame pattern and primitivity")
     # a stratum, or one of the frame kinds rational/enriques/ell111/ell211
-    p.add_argument("label", choices=(*strata.STRATUM_LABELS, "rational"))
+    p.add_argument("label", choices=(*STRATUM_LABELS, "rational"))
     p.set_defaults(func=cmd_monodromy)
 
     p = sub.add_parser("reconstruct", help="recover the (1,1,1) point data")
@@ -194,7 +208,7 @@ def build_parser():
     p.set_defaults(func=cmd_normal_form)
 
     p = sub.add_parser("gen-fixture", help="emit a seeded boundary dataset")
-    p.add_argument("label", choices=strata.STRATUM_LABELS)
+    p.add_argument("label", choices=STRATUM_LABELS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen_fixture)
 

@@ -2,6 +2,8 @@
 
 All rational numbers travel as "p/q" strings (or "p" when integral) so that
 files round-trip exactly; floating point is never produced or accepted.
+At import this module loads only `exact` and `lattices`; the point, dataset
+and polynomial loaders import `tori`, `torelli` and `normalform` when called.
 """
 
 from __future__ import annotations
@@ -14,9 +16,6 @@ from itertools import combinations
 
 from .exact import as_rational
 from .lattices import IntegralLattice
-from .normalform import WeightedPolynomial
-from .torelli import BoundaryDataset, SummandData
-from .tori import TorusPoint
 
 FORMAT_VERSION = 1
 
@@ -94,6 +93,8 @@ def point_to_json(p):
 
 
 def point_from_json(obj):
+    from .tori import TorusPoint
+
     return TorusPoint(tuple(fraction_from_str(c) for c in obj))
 
 
@@ -104,6 +105,8 @@ def polynomial_to_json(poly):
 
 
 def polynomial_from_json(obj):
+    from .normalform import WeightedPolynomial
+
     d = {}
     for key, val in obj.items():
         if not re.fullmatch(r"(0|[1-9][0-9]*)(,(0|[1-9][0-9]*)){3}", key):
@@ -145,7 +148,9 @@ def _check(ok, message):
         raise InputError(f"dataset: {message}")
 
 
-def _summand_from_json(s):
+def _summand_from_json(s, summand, point):
+    """The `summand` (SummandData) of one stored summand, its ψ values built
+    as `point`s (TorusPoint); the caller imports both once per dataset."""
     _check(isinstance(s, dict) and s.keys() == _SUMMAND_KEYS,
            f"a summand must have exactly the keys {sorted(_SUMMAND_KEYS)}")
     _check(isinstance(s["label"], str), "a summand label must be a string")
@@ -166,10 +171,12 @@ def _summand_from_json(s):
         ),
         f"psi_points must hold one {_POINT_RANK}-coordinate point per simple root per curve",
     )
-    psi = tuple(tuple(point_from_json(p) for p in curve) for curve in points)
+    psi = tuple(
+        tuple(point(tuple(fraction_from_str(c) for c in p)) for p in curve) for curve in points
+    )
     _check(flags == [all(p.is_zero() for p in curve) for curve in psi],
            "each zero flag must say whether every ψ point on its curve is zero")
-    return SummandData(
+    return summand(
         label=s["label"],
         simple_roots=tuple(tuple(r) for r in roots),
         zero_flags=tuple(flags),
@@ -180,6 +187,9 @@ def _summand_from_json(s):
 def dataset_from_json(obj):
     """The BoundaryDataset of a document in exactly the layout
     `dataset_to_json` writes; anything else raises InputError."""
+    from .torelli import BoundaryDataset, SummandData
+    from .tori import TorusPoint
+
     version = obj.get("version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise InputError("unsupported dataset version")
@@ -207,7 +217,7 @@ def dataset_from_json(obj):
     _check(pattern == sorted(e[1] for e in pairs),
            "pair_pattern must be the sorted orders of jw1_pair_indices")
     _check(isinstance(obj["summands"], list), "summands must be a list")
-    summands = tuple(_summand_from_json(s) for s in obj["summands"])
+    summands = tuple(_summand_from_json(s, SummandData, TorusPoint) for s in obj["summands"])
     try:
         return BoundaryDataset(
             k=k,

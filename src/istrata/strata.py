@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from . import exact
+from . import STRATUM_LABELS, exact
 from .lattices import (
     IntegralLattice,
     blowup_lattice,
@@ -44,8 +44,6 @@ from .roots import (
     weight_self_pairing,
 )
 from .tori import TorusPoint
-
-STRATUM_LABELS = ("rat11", "rat21", "rat22", "enriques", "ell211", "ell111")
 
 
 # ---------------------------------------------------------------------------

@@ -641,23 +641,57 @@ def naive_psi_row(model, i, p, raw):
     return [-x for x in row] + list(z_row[len(raw):])
 
 
+def _nonzero_mod_1(rows, ambs):
+    return any(sum(x * y for x, y in zip(row, amb)).denominator != 1
+               for row in rows for amb in ambs)
+
+
+@lru_cache(maxsize=None)
+def naive_live_summands(label):
+    """Per curve i, the ambient lifts of the simple roots of each summand on
+    which ψᵢ is not identically zero mod ℤ² as a function of the draws.  ψᵢ
+    is linear in the integer draw numerators over 97, so it is identically
+    zero on a root exactly when the Fraction rows of every unit draw 1/97
+    give that root an integer value."""
+    model = build_stratum_model(label)
+    lifts = compute_lambda(label).lifts
+    n = model.y_tilde.lattice.rank
+    summands = [[exact.vec_mat(list(s), lifts) for s in simples]
+                for _, simples in strata.psi_summands(label)]
+    out = []
+    for i, z in enumerate(model.dp_components):
+        w = n + z.lattice.rank - 1
+        units = [[Fraction(int(t == u), 97) for t in range(w)] for u in range(w)]
+        unit_rows = [naive_psi_row(model, i, x[n:], x[:n]) for x in units]
+        out.append([ambs for ambs in summands if _nonzero_mod_1(unit_rows, ambs)])
+    return out
+
+
 def naive_psi_rows(model, seed):
     """ψᵢ on the ambient as 2×rank(ambient) Fraction rows per curve, computed
-    in Fractions throughout from the seed's first draws."""
+    in Fractions throughout from the seed's random stream.  As in
+    `generate_restriction_data`, a draw is taken again from the same stream
+    until every ψᵢ is nonzero mod ℤ² on each summand it does not kill
+    identically (`naive_live_summands`), judged here on these rows."""
     rng = random.Random(seed)
 
     def rnd():
         return Fraction(rng.randrange(97), 97)
 
     n = model.y_tilde.lattice.rank
-    z_points = [
-        [(rnd(), rnd()) for _ in range(z.lattice.rank - 1)] for z in model.dp_components
-    ]
-    out = []
-    for i in range(model.k):
-        raw = [[rnd() for _ in range(n)] for _ in range(2)]
-        out.append([naive_psi_row(model, i, [p[r] for p in z_points[i]], raw[r]) for r in range(2)])
-    return out
+    live = naive_live_summands(model.stratum)
+    for _ in range(100):
+        z_points = [
+            [(rnd(), rnd()) for _ in range(z.lattice.rank - 1)] for z in model.dp_components
+        ]
+        out = []
+        for i in range(model.k):
+            raw = [[rnd() for _ in range(n)] for _ in range(2)]
+            out.append([naive_psi_row(model, i, [p[r] for p in z_points[i]], raw[r])
+                        for r in range(2)])
+        if all(_nonzero_mod_1(rows, ambs) for rows, groups in zip(out, live) for ambs in groups):
+            return out
+    raise AssertionError(f"no generic draw for seed {seed} in 100 draws")
 
 
 @settings(max_examples=40, deadline=None)
@@ -681,6 +715,7 @@ def test_draw_maps_match_fraction_oracle(label, data):
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(STRATUM_LABELS), st.integers(0, 10**6 - 1))
 @example(label="ell111", seed=0)
+@example(label="rat21", seed=32302)  # the first draw is not generic: redrawn
 def test_fixture_psi_matches_fraction_oracle(label, seed):
     ds, _ = gen_fixture(label, seed)
     psi = naive_psi_rows(build_stratum_model(label), seed)
