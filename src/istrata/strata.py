@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from . import STRATUM_LABELS, exact
+from . import STRATUM_LABELS, exact  # STRATUM_LABELS: re-exported for callers
 from .lattices import (
     IntegralLattice,
     blowup_lattice,
