@@ -1,3 +1,4 @@
+import hashlib
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -251,6 +252,27 @@ class TestReduction:
         monkeypatch.setattr(normalform, "_polynomial", perturbed)
         with pytest.raises(VerificationError, match="moved the t⁰ part"):
             reduce_to_standard_form(random_deformation(3))
+
+    def test_pinned_reductions(self):
+        # sha256 over repr((branch, coeffs, change)) of 200 g₂-branch and 60
+        # g₃-branch reductions: any change to a parameter, to the order of
+        # the steps or to the reduced polynomial moves it
+        def on_g3(seed):
+            d = random_deformation(seed, cuspidal=True).as_dict()
+            d[Z6] = Fraction(seed % 40 + 1, 41)
+            return WeightedPolynomial.from_dict(d)
+
+        polys = [random_deformation(s) for s in range(200)] + [on_g3(s) for s in range(60)]
+        h = hashlib.sha256()
+        branches = []
+        for p in polys:
+            r = reduce_to_standard_form(p)
+            h.update(repr((r.branch, r.polynomial.coeffs, r.change)).encode())
+            branches.append(r.branch)
+        assert branches == ["g2"] * 200 + ["g3"] * 60
+        assert h.hexdigest() == (
+            "29ede17ef536afcbe697ad13a9dc88ac98503ad04a6b6da934f525757aee2181"
+        )
 
     def test_change_invariance_of_slice(self):
         # a scrambled polynomial reduces to the same slice point
