@@ -13,9 +13,9 @@ Subpackages:
 - ``io``: exact JSON serialization of lattices, points, datasets, polynomials
 - ``cli``: the ``istrata`` command-line interface
 
-Importing ``io`` or ``cli`` loads only ``exact``, ``lattices`` and ``io``; each
-subcommand and each point, dataset or polynomial loader imports the modules
-it runs when it is called.
+Importing ``io`` or ``cli`` loads only ``exact`` and ``io``; each subcommand
+and each lattice, point, dataset or polynomial loader imports the modules it
+runs when it is called.
 """
 
 __version__ = "1.0.0"

@@ -2,8 +2,9 @@
 
 All rational numbers travel as "p/q" strings (or "p" when integral) so that
 files round-trip exactly; floating point is never produced or accepted.
-At import this module loads only `exact` and `lattices`; the point, dataset
-and polynomial loaders import `tori`, `torelli` and `normalform` when called.
+At import this module loads only `exact`; the lattice, point, dataset and
+polynomial loaders import `lattices`, `tori`, `torelli` and `normalform` when
+called.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exact import as_rational
-from .lattices import IntegralLattice
 
 FORMAT_VERSION = 1
 
@@ -73,6 +73,8 @@ _LATTICE_KEYS = {"rank", "gram"}
 
 
 def lattice_from_json(obj):
+    from .lattices import IntegralLattice
+
     if obj.keys() != _LATTICE_KEYS:
         raise InputError(f"a lattice must have exactly the keys {sorted(_LATTICE_KEYS)}")
     gram = obj["gram"]

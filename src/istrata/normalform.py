@@ -84,17 +84,12 @@ class WeightedPolynomial:
 # generic (non-homogeneous) polynomial arithmetic used for substitution
 
 
-def _mul(a, b, bound=None):
-    """Product of two exponent dictionaries with `int` coefficients.  With
-    `bound`, terms whose exponent exceeds it in some variable are dropped."""
+def _mul(a, b):
+    """Product of two exponent dictionaries with `int` coefficients."""
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
-            if bound and (
-                e[0] > bound[0] or e[1] > bound[1] or e[2] > bound[2] or e[3] > bound[3]
-            ):
-                continue
             out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
 
@@ -160,7 +155,7 @@ def _polynomial(terms, den):
     return WeightedPolynomial(coeffs=tuple((exp, Fraction(n, den)) for exp, n in terms))
 
 
-def _expand(terms, den, change, target=None):
+def _expand(terms, den, change):
     """Substitute `change` into Σ n·xᵉ / den, given as sorted (exponent, `int`)
     terms over den.
 
@@ -172,10 +167,7 @@ def _expand(terms, den, change, target=None):
 
     The powers of each image are built once, up to the largest exponent of
     that variable in `terms`; each monomial is then expanded in one pass over
-    the four powers it needs.  With `target`, a partial product is dropped as
-    soon as one exponent exceeds the target's; every image term has
-    nonnegative exponents, so the coefficient of `target` is still exact, and
-    only (its numerator, den·d⁶) is returned, unreduced.
+    the four powers it needs.
     """
     d, images = change.images()
     # the zero row gives the empty polynomial tops of 0
@@ -184,32 +176,23 @@ def _expand(terms, den, change, target=None):
     for img, top in zip(images, tops):
         table = [{(0, 0, 0, 0): 1}]
         for _ in range(top):
-            table.append(_mul(table[-1], img, target))
+            table.append(_mul(table[-1], img))
         tables.append(table)
     xs, ys, zs, ts = tables
-    # without a target nothing is dropped: no exponent of a (partial) product
-    # of a weight-6 monomial exceeds 6
-    t0, t1, t2, t3 = target or (TOTAL_WEIGHT,) * 4
     acc = {}
     for (i, j, k, m), n in terms:
         for (a0, a1, a2, a3), ca in xs[i].items():
             na = n * ca
             for (b0, b1, b2, b3), cb in ys[j].items():
                 e0, e1, e2, e3 = a0 + b0, a1 + b1, a2 + b2, a3 + b3
-                if e0 > t0 or e1 > t1 or e2 > t2 or e3 > t3:
-                    continue
                 nb = na * cb
                 for (c0, c1, c2, c3), cc in zs[k].items():
                     f0, f1, f2, f3 = e0 + c0, e1 + c1, e2 + c2, e3 + c3
-                    if f0 > t0 or f1 > t1 or f2 > t2 or f3 > t3:
-                        continue
                     nc = nb * cc
                     for (g0, g1, g2, g3), ct in ts[m].items():
                         e = (f0 + g0, f1 + g1, f2 + g2, f3 + g3)
                         acc[e] = acc.get(e, 0) + nc * ct
     big = den * d**TOTAL_WEIGHT
-    if target is not None:
-        return acc.get(target, 0), big
     out = sorted([(e, n) for e, n in acc.items() if n])
     g = gcd(big, *[n for _, n in out])
     return [(e, n // g) for e, n in out], big // g
@@ -251,11 +234,25 @@ _X3 = (3, 0, 0, 0)
 _XZ4 = (1, 0, 4, 0)
 _Z6 = (0, 0, 6, 0)
 
-# targets killed by the reduction, with the parameter that kills each
-_BETA_TARGETS = ((1, 1, 0, 1), (0, 1, 2, 1), (0, 1, 1, 2), (0, 1, 0, 3))
-_ALPHA_TARGETS = ((2, 0, 1, 1), (2, 0, 0, 2))
 _GAMMA_TARGET_G2 = (1, 0, 3, 1)  # txz³, available when g₂ ≠ 0
 _GAMMA_TARGET_G3 = (0, 0, 5, 1)  # tz⁵, available when g₃ ≠ 0
+
+# the seven elementary steps in order, as (target, index of the parameter in
+# (α₁, α₂, β₁, …, β₄, γ), source monomial, multiplier m).  Setting the
+# parameter to u adds m·c·u to the target's coefficient, c the source's
+# coefficient in the t⁰ part, and nothing else of weight 6 reaches the
+# target: y ↦ y + u·M turns c_y·y² into c_y·(y² + 2u·yM + u²M²), x ↦ x + u·M
+# gives 3c_x·u·x²M from x³, and z ↦ z + u·t gives 4g₂·u·xz³t from xz⁴ and
+# 6g₃·u·z⁵t from z⁶.  The γ step depends on the branch.
+_STEPS = (
+    ((1, 1, 0, 1), 2, _Y2, 2),  # β₁: txy
+    ((0, 1, 2, 1), 3, _Y2, 2),  # β₂: tyz²
+    ((0, 1, 1, 2), 4, _Y2, 2),  # β₃: t²yz
+    ((0, 1, 0, 3), 5, _Y2, 2),  # β₄: t³y
+    ((2, 0, 1, 1), 0, _X3, 3),  # α₁: tx²z
+    ((2, 0, 0, 2), 1, _X3, 3),  # α₂: t²x²
+)
+_GAMMA_STEPS = {"g2": (_GAMMA_TARGET_G2, 6, _XZ4, 4), "g3": (_GAMMA_TARGET_G3, 6, _Z6, 6)}
 
 
 @dataclass(frozen=True)
@@ -269,9 +266,8 @@ def leading_form_invariants(poly):
     """(c_y, c_x, g₂, g₃) of the t⁰ part; raises unless that part is exactly
     a Weierstrass form with c_y, c_x ≠ 0."""
     t0 = poly.t_part(0)
-    allowed = {_Y2, _X3, _XZ4, _Z6}
     for exp in t0:
-        if exp not in allowed:
+        if exp not in (_Y2, _X3, _XZ4, _Z6):
             raise ValueError(f"t⁰ part contains {_mono_str(exp)}")
     cy = t0.get(_Y2, Fraction(0))
     cx = t0.get(_X3, Fraction(0))
@@ -280,26 +276,11 @@ def leading_form_invariants(poly):
     return cy, cx, t0.get(_XZ4, Fraction(0)), t0.get(_Z6, Fraction(0))
 
 
-def _solve_parameter(terms, den, target, make_change):
-    """Kill the coefficient of `target` in the polynomial of `terms` over den
-    using the one-parameter family u ↦ make_change(u), where make_change(0)
-    is the identity.  Returns (terms, den) of the result and the change.
-
-    The coefficient is an affine function of u; two evaluations determine
-    it, a third certifies affinity, and the slope must be nonzero.  The
-    probes take integer u, so d = 1 and their numerators are over den too.
-    """
-    def probe(u):
-        return _expand(terms, den, make_change(Fraction(u)), target)[0]
-
-    c0, c1, c2 = dict(terms).get(target, 0), probe(1), probe(2)
-    if c2 - c1 != c1 - c0:
-        raise VerificationError("coefficient is not affine in the parameter")
-    slope = c1 - c0
-    if slope == 0:
-        raise ValueError(f"cannot normalize {_mono_str(target)}: degenerate slope")
-    change = make_change(Fraction(-c0, slope))
-    return *_expand(terms, den, change), change
+def _elementary(k, u):
+    """The change whose k-th parameter in (α₁, α₂, β₁, …, β₄, γ) is u."""
+    p = [Fraction(0)] * 7
+    p[k] = u
+    return ChangeOfVariables(alpha=tuple(p[:2]), beta=tuple(p[2:6]), gamma=p[6])
 
 
 def reduce_to_standard_form(poly):
@@ -308,38 +289,33 @@ def reduce_to_standard_form(poly):
     Order matters: the β parameters fix the y-linear monomials first (only
     −2·c_y·y·δ can move them), then α₁, α₂ clear tx²z and t²x² using the x³
     term, and finally γ clears txz³ (when g₂ ≠ 0) or tz⁵ (when g₂ = 0,
-    g₃ ≠ 0); this order never reintroduces an earlier target.  The seven
-    steps carry integer numerators over one denominator.
+    g₃ ≠ 0); this order never reintroduces an earlier target.  No step moves
+    the t⁰ part, so each step's parameter is u = −c₀/(m·c), c₀ the target's
+    current coefficient and m·c its slope from `_STEPS`.  The seven steps
+    carry integer numerators over one denominator; the final checks certify
+    every step.
     """
-    cy, cx, g2, g3 = leading_form_invariants(poly)
-    total = ChangeOfVariables.identity()
-    terms, den = _numerators(poly)
-
-    def elementary(k, u):
-        """The change whose k-th parameter in (α₁, α₂, β₁, …, β₄, γ) is u."""
-        p = [Fraction(0)] * 7
-        p[k] = u
-        return ChangeOfVariables(alpha=tuple(p[:2]), beta=tuple(p[2:6]), gamma=p[6])
-
-    for i, target in enumerate(_BETA_TARGETS):
-        terms, den, ch = _solve_parameter(terms, den, target, lambda u, i=i: elementary(2 + i, u))
-        total = compose_changes(total, ch)
-    for i, target in enumerate(_ALPHA_TARGETS):
-        terms, den, ch = _solve_parameter(terms, den, target, lambda u, i=i: elementary(i, u))
-        total = compose_changes(total, ch)
-    if g2 != 0:
-        target, branch = _GAMMA_TARGET_G2, "g2"
-    elif g3 != 0:
-        target, branch = _GAMMA_TARGET_G3, "g3"
+    source = dict(zip((_Y2, _X3, _XZ4, _Z6), leading_form_invariants(poly)))
+    if source[_XZ4] != 0:
+        branch = "g2"
+    elif source[_Z6] != 0:
+        branch = "g3"
     else:
         raise ValueError("g₂ = g₃ = 0: the fibre is cuspidal, no normal form")
-    terms, den, ch = _solve_parameter(terms, den, target, lambda u: elementary(6, u))
-    total = compose_changes(total, ch)
+    steps = _STEPS + (_GAMMA_STEPS[branch],)
+    total = ChangeOfVariables.identity()
+    terms, den = _numerators(poly)
+    for target, k, src, m in steps:
+        # u = −c₀/(m·c): c₀ = n/den is the target's coefficient, c the source's
+        n, c = dict(terms).get(target, 0), source[src]
+        change = _elementary(k, Fraction(-n * c.denominator, den * m * c.numerator))
+        terms, den = _expand(terms, den, change)
+        total = compose_changes(total, change)
     current = _polynomial(terms, den)
 
-    for t in _BETA_TARGETS + _ALPHA_TARGETS + (target,):
-        if current.coefficient(t) != 0:
-            raise VerificationError(f"{_mono_str(t)} survived the reduction")
+    for target, *_ in steps:
+        if current.coefficient(target) != 0:
+            raise VerificationError(f"{_mono_str(target)} survived the reduction")
     if current.t_part(0) != poly.t_part(0):
         raise VerificationError("the reduction moved the t⁰ part")
     if apply_change(poly, total).coeffs != current.coeffs:

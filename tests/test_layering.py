@@ -50,12 +50,12 @@ def _loaded(*argv):
 
 
 def test_io_loads_no_lattice_or_hodge_module():
-    assert _loaded() == {"istrata", "exact", "io", "lattices"}
+    assert _loaded() == {"istrata", "exact", "io"}
 
 
 def test_normal_form_loads_only_normalform():
     assert _loaded("normal-form", "--seed", "3") == {
-        "istrata", "cli", "exact", "io", "lattices", "normalform"
+        "istrata", "cli", "exact", "io", "normalform"
     }
 
 

@@ -27,6 +27,7 @@ from istrata.lattices import (
 )
 from istrata.normalform import apply_change, compose_changes, random_deformation
 from istrata.normalform import ChangeOfVariables, WeightedPolynomial, _expand, _numerators
+from istrata.normalform import _GAMMA_STEPS, _STEPS
 from istrata.normalform import monomial_weight, reduce_to_standard_form
 from istrata.roots import _simple_roots, decompose_root_system, enumerate_roots
 from istrata.strata import STRATUM_LABELS, build_stratum_model, compute_lambda
@@ -163,16 +164,6 @@ WEIGHT6_MONOMIALS = [
 ]
 
 
-@settings(max_examples=25, deadline=None)
-@given(changes, st.integers(min_value=0, max_value=10**6))
-def test_pruned_substitution_matches_full_coefficient(c, seed):
-    p = random_deformation(seed)
-    full = apply_change(p, c)
-    terms, den = _numerators(p)
-    for m in WEIGHT6_MONOMIALS:
-        assert Fraction(*_expand(terms, den, c, m)) == full.coefficient(m)
-
-
 def naive_substitution(p, c):
     """p with x, y, z, t replaced by their images, expanded one factor at a
     time in `Fraction` arithmetic: an oracle that shares no code with
@@ -269,8 +260,23 @@ def test_substitution_matches_naive_expansion(c, seed, kind):
     assert terms == sorted(
         (e, v.numerator * (out_den // v.denominator)) for e, v in expected.items()
     )
-    for m in WEIGHT6_MONOMIALS:
-        assert Fraction(*_expand(num, den, c, m)) == expected.get(m, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_fracs, st.integers(min_value=0, max_value=10**6), st.sampled_from(("g2", "g3")))
+@example(u=Fraction(-3, 7), seed=0, branch="g3")
+def test_step_slopes_match_naive_expansion(u, seed, branch):
+    # reduce_to_standard_form sets each step's parameter from the slope in
+    # its table: u adds m·c·u to the target, c the source's coefficient
+    p = deformation_on_branch(seed, branch)
+    steps = _STEPS + (_GAMMA_STEPS[branch],)
+    assert len({k for _, k, _, _ in steps}) == 7
+    for target, k, src, m in steps:
+        params = [Fraction(0)] * 7
+        params[k] = u
+        c = ChangeOfVariables(alpha=tuple(params[:2]), beta=tuple(params[2:6]), gamma=params[6])
+        expected = p.coefficient(target) + m * p.coefficient(src) * u
+        assert naive_substitution(p, c).get(target, 0) == expected
 
 
 @pytest.mark.parametrize("branch", ["g2", "g3"])
