@@ -27,7 +27,7 @@ from istrata.lattices import (
 )
 from istrata.normalform import apply_change, compose_changes, random_deformation
 from istrata.normalform import ChangeOfVariables, WeightedPolynomial, _expand, _numerators
-from istrata.normalform import _GAMMA_STEPS, _STEPS
+from istrata.normalform import _GAMMA_STEPS, _STEPS, _elementary
 from istrata.normalform import monomial_weight, reduce_to_standard_form
 from istrata.roots import _simple_roots, decompose_root_system, enumerate_roots
 from istrata.strata import STRATUM_LABELS, build_stratum_model, compute_lambda
@@ -272,11 +272,8 @@ def test_step_slopes_match_naive_expansion(u, seed, branch):
     steps = _STEPS + (_GAMMA_STEPS[branch],)
     assert len({k for _, k, _, _ in steps}) == 7
     for target, k, src, m in steps:
-        params = [Fraction(0)] * 7
-        params[k] = u
-        c = ChangeOfVariables(alpha=tuple(params[:2]), beta=tuple(params[2:6]), gamma=params[6])
         expected = p.coefficient(target) + m * p.coefficient(src) * u
-        assert naive_substitution(p, c).get(target, 0) == expected
+        assert naive_substitution(p, _elementary(k, u)).get(target, 0) == expected
 
 
 @pytest.mark.parametrize("branch", ["g2", "g3"])
