@@ -223,10 +223,8 @@ def main(argv=None):
         return EXIT_INPUT
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, serial.InputError) as exc:
+    # JSONDecodeError and InputError subclass ValueError, so this clause comes first
+    except (json.JSONDecodeError, OSError, serial.InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:

@@ -1,10 +1,12 @@
 """Exact integer/rational linear algebra.
 
 Everything in this package runs on Python ints and ``fractions.Fraction``;
-floating point is banned.  Matrices are lists of lists (rows), vectors are
-tuples or lists.  All routines are deterministic: pivot selection is always
-"smallest nonzero absolute value, then lowest (row, col) index" so that
-normal forms and certificates are reproducible bit-for-bit.
+floating point is banned.  A matrix argument is any sequence of rows
+(lists or tuples) and a vector any sequence of numbers; the matrices and
+vectors computed are lists (of lists), the short vectors of
+`short_vectors` tuples.  All routines are deterministic: pivot selection
+is always "smallest nonzero absolute value, then lowest (row, col) index"
+so that normal forms and certificates are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -76,13 +78,14 @@ def vec_scale(c, v):
     return [c * x for x in v]
 
 
-def is_zero_vector(v):
-    return all(x == 0 for x in v)
-
-
 def dot_gram(u, gram, v):
     """Pairing u·v with respect to a Gram matrix (zero coordinates of u skipped)."""
     return sum(x * sum(map(mul, row, v)) for x, row in zip(u, gram) if x)
+
+
+def gram_of(rows, gram):
+    """B·G·Bᵀ: the pairings of the vectors `rows` (the rows of B) under `gram`."""
+    return [[sum(map(mul, a, b)) for b in rows] for a in mat_mul(rows, gram)]
 
 
 # ---------------------------------------------------------------------------

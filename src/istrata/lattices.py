@@ -66,9 +66,6 @@ class IntegralLattice:
     def norm(self, v):
         return self.pairing(v, v)
 
-    def gram_lists(self):
-        return [list(r) for r in self.gram]
-
 
 def direct_sum(*lattices):
     """Orthogonal direct sum."""
@@ -180,9 +177,8 @@ def orthogonal_complement(L, vectors):
     columns).  B·R = I is certified: an integer right inverse proves B
     primitive, i.e. the complement saturated.
     """
-    g = L.gram_lists()
     # a zero row keeps the column count of an empty list of vectors
-    a = [exact.vec_mat(list(s), g) for s in vectors] or [[0] * L.rank]
+    a = exact.mat_mul(vectors, L.gram) or [[0] * L.rank]
     _, facs, v, w = exact.smith_normal_form(a)
     r = len(facs)
     basis = exact.transpose(v)[r:]
@@ -207,25 +203,19 @@ def quotient_by_isotropic(L, s_rows):
     Returns the quotient lattice, the projection matrix (quotient coords of
     an ambient vector are projection·v), and coset lifts of its basis.
     """
-    s_rows = [list(s) for s in s_rows]
-    g = L.gram_lists()
-    for s in s_rows:
-        if not exact.is_zero_vector(exact.vec_mat(s, g)):
-            raise ValueError("span is not in the radical of the form")
+    if any(map(any, exact.mat_mul(s_rows, L.gram))):
+        raise ValueError("span is not in the radical of the form")
     _, facs, v, vinv = exact.smith_normal_form(s_rows or [[0] * L.rank])
     if any(f != 1 for f in facs):
         raise ValueError("isotropic sublattice is not primitive")
     r = len(facs)
     # rows of vinv: adapted basis of ℤⁿ; the first r span S, the rest lift L/S
     complement = vinv[r:]
-    q_gram = [
-        [exact.dot_gram(a, g, b) for b in complement] for a in complement
-    ]
     # projection: ambient coords -> quotient coords (drop the S part);
     # x = y·vinv ⇒ y = x·v, so the columns of v past r give the quotient coords
     proj = exact.transpose(v)[r:]
     return QuotientResult(
-        lattice=IntegralLattice(q_gram),
+        lattice=IntegralLattice(exact.gram_of(complement, L.gram)),
         projection=tuple(tuple(row) for row in proj),
         lifts=tuple(tuple(row) for row in complement),
     )
@@ -239,9 +229,8 @@ def lattice_predicates(L):
     Gram gives both the discriminant group and |det gram|, the product of
     its invariant factors.
     """
-    g = L.gram_lists()
-    is_even = all(g[i][i] % 2 == 0 for i in range(L.rank))
-    facs = invariant_factors(g)
+    is_even = all(L.gram[i][i] % 2 == 0 for i in range(L.rank))
+    facs = invariant_factors(L.gram)
     if len(facs) < L.rank:
         raise ValueError("degenerate lattice has no discriminant group")
     disc = prod(facs)
@@ -253,7 +242,6 @@ def index_of_sublattice(L, s_rows):
 
     Equals the product of the SNF invariant factors of the inclusion matrix.
     """
-    s_rows = [list(s) for s in s_rows]
     facs = invariant_factors(s_rows)
     if len(facs) < L.rank:
         raise ValueError("sublattice is rank deficient")

@@ -99,19 +99,19 @@ def _check_frame(frame):
     primitive) sublattice W1_BASIS spans; the e-block of (α̃₁, β̃₁, α̃₂, β̃₂)
     is invertible, so those four span it over ℚ.
     """
-    if any(exact.dot_gram(a, U4_GRAM, b) for a in W1_BASIS for b in W1_BASIS):
+    if any(map(any, exact.gram_of(W1_BASIS, U4_GRAM))):
         raise exact.VerificationError("W1 is not isotropic")
     if any(any(c[4:]) for c in frame.cycles()):
         raise exact.VerificationError("a cycle has a nonzero f-part: it is not in W1")
     four = [frame.alphas[0], frame.betas[0], frame.alphas[1], frame.betas[1]]
-    if exact.det_bareiss([list(v[:4]) for v in four]) == 0:
+    if exact.det_bareiss([v[:4] for v in four]) == 0:
         raise exact.VerificationError("α̃₁, β̃₁, α̃₂, β̃₂ do not span W1 over ℚ")
     if frame.label == "ell111":
         a1, a2, a3 = frame.alphas
         b1, b2, b3 = frame.betas
-        if list(a3) != exact.vec_add(exact.vec_scale(2, list(a1)), list(a2)):
+        if list(a3) != exact.vec_add(exact.vec_scale(2, a1), a2):
             raise exact.VerificationError("α₃ ≠ 2α₁ + α₂ on the ell111 frame")
-        if list(b3) != exact.vec_add(list(b1), exact.vec_scale(2, list(b2))):
+        if list(b3) != exact.vec_add(b1, exact.vec_scale(2, b2)):
             raise exact.VerificationError("β₃ ≠ β₁ + 2β₂ on the ell111 frame")
 
 
@@ -174,7 +174,7 @@ def pair_indices(frame):
     fs = jw1_markings(frame)
     out = []
     for i, j in combinations(range(frame.k), 2):
-        det = exact.det_bareiss([list(r + t) for r, t in zip(fs[i], fs[j])])
+        det = exact.det_bareiss([r + t for r, t in zip(fs[i], fs[j])])
         if det == 0:
             raise ValueError("Im Nᵢ + Im Nⱼ is not of rank 4")
         out.append(((i, j), abs(det)))

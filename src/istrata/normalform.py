@@ -19,10 +19,9 @@ from math import gcd, lcm
 
 from .exact import VerificationError, as_rational
 
-WEIGHTS = {"x": 2, "y": 3, "z": 1, "t": 1}
 TOTAL_WEIGHT = 6
 
-# exponent tuples are (ex, ey, ez, et)
+# exponent tuples are (ex, ey, ez, et); the weights of x, y, z, t
 _W = (2, 3, 1, 1)
 
 

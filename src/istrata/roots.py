@@ -42,7 +42,7 @@ def enumerate_roots(L):
         short = exact.vectors_of_norm(reduced, 2)
     except ValueError:
         raise ValueError("lattice is not negative definite") from None
-    return sorted(_sign_canonical(exact.vec_mat(list(x), u)) for x in short)
+    return sorted(map(_sign_canonical, exact.mat_mul(short, u)))
 
 
 def weyl_reflect(L, alpha, x):
@@ -152,7 +152,7 @@ def _simple_roots(L, roots):
     dual = {}
     for r in sorted(positives):
         if all(sum(map(mul, r, ga)) != -1 for ga in dual.values()):
-            dual[r] = [sum(map(mul, row, r)) for row in L.gram]
+            dual[r] = exact.mat_vec(L.gram, r)
     return {r: dual[r] for r in positives if r in dual}
 
 
@@ -281,9 +281,7 @@ def fundamental_weight(dec, comp, j):
     r = len(simples)
     if not 1 <= j <= r:
         raise ValueError("weight index out of range")
-    neg_cartan = [
-        [dec.lattice.pairing(a, b) for b in simples] for a in simples
-    ]
+    neg_cartan = exact.gram_of(simples, dec.lattice.gram)
     rhs = [1 if i == j - 1 else 0 for i in range(r)]
     c = exact.solve_unique(neg_cartan, rhs)
     if c is None:
@@ -293,15 +291,13 @@ def fundamental_weight(dec, comp, j):
 
 def weight_self_pairing(dec, w):
     """ϖ_j² — equals −(C⁻¹)ⱼⱼ for the component's Cartan matrix C."""
-    g = dec.lattice.gram_lists()
-    return exact.dot_gram(list(w), g, list(w))
+    return exact.dot_gram(w, dec.lattice.gram, w)
 
 
 def component_root_lattice(dec, comp):
     """The component's root lattice in its simple-root basis (Gram = −Cartan)."""
     _, simples = dec.components[comp]
-    gram = [[dec.lattice.pairing(a, b) for b in simples] for a in simples]
-    return IntegralLattice(gram)
+    return IntegralLattice(exact.gram_of(simples, dec.lattice.gram))
 
 
 def highest_root_coefficients(dec, comp):

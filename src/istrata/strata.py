@@ -138,7 +138,7 @@ def _ruled_lattice(n_exc):
 def _enriques_lattice():
     """U ⊕ E8 ⊕ ⟨−1⟩, basis (f₁, f₂, E8 block, e)."""
     L, _, _, _, alphas = build_En_lattice(8)
-    e8 = IntegralLattice([[L.pairing(a, b) for b in alphas] for a in alphas])
+    e8 = IntegralLattice(exact.gram_of(alphas, L.gram))
     return direct_sum(hyperbolic_plane(), e8, IntegralLattice([[-1]]))
 
 
@@ -197,16 +197,10 @@ def build_stratum_model(label):
 def _validate_model(m):
     amb = m.ambient
     k = m.k
-    for i, x in enumerate(m.xi):
-        if amb.norm(x) != 0:
-            raise exact.VerificationError("ξᵢ not isotropic")
-        if amb.pairing(x, m.l_total) != 0:
-            raise exact.VerificationError("ξᵢ·[L] ≠ 0")
-        for y in m.xi[i + 1:]:
-            if amb.pairing(x, y) != 0:
-                raise exact.VerificationError("ξᵢ·ξⱼ ≠ 0")
-    if amb.norm(m.l_total) != 1:
-        raise exact.VerificationError("[L]² ≠ 1")
+    # ξ₁..ξ_k isotropic and orthogonal to each other and to [L], and [L]² = 1
+    corner = [[int(i == j == k) for j in range(k + 1)] for i in range(k + 1)]
+    if exact.gram_of([*m.xi, m.l_total], amb.gram) != corner:
+        raise exact.VerificationError("the Gram of ξ₁..ξ_k, [L] is not diag(0, …, 0, 1)")
     yt = m.y_tilde
     for i, d in yt.double_curves.items():
         if yt.lattice.pairing(yt.l_class, d) != 0:
@@ -218,7 +212,7 @@ def _validate_model(m):
     if amb.rank - (2 * k + 1) != 24:
         raise exact.VerificationError("rank bookkeeping fails")
     # the ξ span is primitive
-    facs = exact.invariant_factors([list(x) for x in m.xi])
+    facs = exact.invariant_factors(m.xi)
     if len(facs) != k or any(f != 1 for f in facs):
         raise exact.VerificationError("ξ span not primitive")
 
@@ -250,29 +244,24 @@ def compute_lambda(label):
     """Λ of a stratum with root decomposition and [Λ : Λ_R]; cached."""
     m = build_stratum_model(label)
     amb = m.ambient
-    span = [list(x) for x in m.xi] + [list(m.l_total)]
-    t_rows, t_inverse = orthogonal_complement(amb, span)
-    t_basis = [list(r) for r in t_rows]
-    t_gram = [[amb.pairing(a, b) for b in t_basis] for a in t_basis]
-    T = IntegralLattice(t_gram)
+    t_basis, t_inverse = orthogonal_complement(amb, [*m.xi, m.l_total])
+    T = IntegralLattice(exact.gram_of(t_basis, amb.gram))
     # T is saturated, so its coordinates are read off an integer right inverse
-    xi_t = [exact.vec_mat(x, t_inverse) for x in m.xi]
-    for x, c in zip(m.xi, xi_t):
-        if exact.vec_mat(c, t_basis) != list(x):
-            raise exact.VerificationError("ξ is not an integral vector of T")
+    xi_t = exact.mat_mul(m.xi, t_inverse)
+    if exact.mat_mul(xi_t, t_basis) != list(map(list, m.xi)):
+        raise exact.VerificationError("ξ is not an integral vector of T")
     q = quotient_by_isotropic(T, xi_t)
     lam = q.lattice
     if lam.rank != 24:
         raise exact.VerificationError(f"Λ has rank {lam.rank}, not 24")
     roots = enumerate_roots(lam)
     dec = decompose_root_system(lam, roots)
-    simples = [list(r) for r in dec.all_simple_roots()]
     # Λ_R is spanned by the roots; for rank-24 root systems the simple
     # roots are a basis
-    root_index = index_of_sublattice(lam, simples)
+    root_index = index_of_sublattice(lam, dec.all_simple_roots())
     return LambdaLattice(
         lattice=lam,
-        t_basis=tuple(map(tuple, t_basis)),
+        t_basis=tuple(t_basis),
         t_inverse=tuple(map(tuple, t_inverse)),
         lifts=tuple(map(tuple, exact.mat_mul(q.lifts, t_basis))),
         projection=q.projection,
@@ -494,20 +483,12 @@ def construct_beta11(lam=None):
     if labels != ["E7", "E7", "D10"]:
         raise ValueError("β₁₁ requires root decomposition E7+E7+D10")
     L = lam.lattice
-    g = L.gram_lists()
-    d10_idx = 2
+    # the pairing rows of the simple roots: E₇ at 0..6 and 7..13, D₁₀ at 14..23
+    rows = exact.mat_mul(dec.all_simple_roots(), L.gram)
     for e7_idx in (0, 1):
         for leaf in (9, 10):
-            rows, rhs = [], []
-            for ci, (_, simples) in enumerate(dec.components):
-                for j, s in enumerate(simples, start=1):
-                    rows.append(exact.vec_mat(list(s), g))
-                    if ci == e7_idx and j == 7:
-                        rhs.append(1)
-                    elif ci == d10_idx and j == leaf:
-                        rhs.append(1)
-                    else:
-                        rhs.append(0)
+            rhs = [0] * len(rows)
+            rhs[7 * e7_idx + 6] = rhs[13 + leaf] = 1
             x = exact.solve_unique(rows, rhs)
             if x is None:
                 continue
@@ -522,8 +503,7 @@ def construct_beta11(lam=None):
 
 def _coset_order(lam, v):
     """Order of v + Λ_R in Λ/Λ_R (lcm of denominators over the root basis)."""
-    simples = [list(s) for s in lam.root_data.all_simple_roots()]
-    x = exact.solve_unique(exact.transpose(simples), list(v))
+    x = exact.solve_unique(exact.transpose(lam.root_data.all_simple_roots()), v)
     if x is None:
         raise exact.VerificationError("vector is not in the span of the simple roots")
     return lcm(*(f.denominator for f in x))
@@ -580,7 +560,7 @@ def completed_E8_roots(model):
         eps_y = (-1, 1, 0, 0, 0)  # −σ + f
         groups = [model.dp_root_basis(1), model.dp_root_basis(2), e7_completion(eps_y)]
     amb = model.ambient
-    span = [list(x) for x in model.xi] + [list(model.l_total)]
+    span = [*model.xi, model.l_total]
     for grp in groups:
         for r in grp:
             if amb.norm(r) != -2:

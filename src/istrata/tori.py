@@ -93,7 +93,7 @@ def kernel_points(m):
     nontrivial invariant factor.
     """
     g = len(m[0])
-    _, facs, v, _ = exact.smith_normal_form([list(r) for r in m])
+    _, facs, v, _ = exact.smith_normal_form(m)
     if len(facs) < g:
         raise ValueError("morphism not injective over ℚ (kernel infinite)")
     gens = [

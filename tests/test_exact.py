@@ -87,7 +87,7 @@ class TestKernels:
             a = random_int_matrix(rng, 2, 4)
             k = exact.integer_kernel(a)
             for v in k:
-                assert exact.is_zero_vector(exact.mat_vec(a, v))
+                assert not any(exact.mat_vec(a, v))
             if k:
                 assert all(f == 1 for f in exact.invariant_factors(k))
 

@@ -84,7 +84,33 @@ def test_det_multiplicative(a, b):
 @given(square_matrix(4))
 def test_kernel_annihilates(m):
     for v in exact.integer_kernel(m):
-        assert exact.is_zero_vector(exact.mat_vec(m, v))
+        assert not any(exact.mat_vec(m, v))
+
+
+@st.composite
+def rows_and_gram(draw):
+    """(B, G): up to five rows B, some of them zero, and a symmetric n×n G."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    upper = iter(draw(st.lists(ints, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = next(upper)
+    row = st.lists(ints, min_size=n, max_size=n)
+    return draw(st.lists(st.one_of(st.just([0] * n), row), max_size=5)), g
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows_and_gram())
+@example(([], [[2, 1], [1, 0]]))
+@example(([[0, 0], [1, -1]], [[2, 1], [1, 0]]))
+def test_gram_of_is_the_pairwise_gram(case):
+    rows, g = case
+    expected = [[exact.dot_gram(a, g, b) for b in rows] for a in rows]
+    tuple_rows = [tuple(r) for r in rows]
+    assert exact.gram_of(rows, g) == expected
+    assert exact.gram_of(tuple_rows, tuple(map(tuple, g))) == expected
+    assert exact.mat_mul(tuple_rows, g) == exact.mat_mul(rows, g)
 
 
 fracs = st.fractions(
@@ -511,7 +537,7 @@ def test_height_ordered_simple_roots_match_pairwise_rule(labels, ops, rng):
     lat = direct_sum(*(IntegralLattice(_neg_cartan(x)) for x in labels))
     # a random unimodular basis change
     u = _elementary_unimodular(lat.rank, ops)
-    g = exact.mat_mul(exact.mat_mul(u, lat.gram_lists()), exact.transpose(u))
+    g = exact.gram_of(u, lat.gram)
     L = IntegralLattice(g)
     # one root per ± pair in a random order and with random signs
     roots = [r if rng.random() < 0.5 else tuple(-x for x in r) for r in enumerate_roots(L)]

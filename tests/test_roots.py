@@ -61,7 +61,7 @@ class TestEnumerate:
 
     def test_basis_change_invariance(self):
         rng = random.Random(7)
-        g0 = E7.gram_lists()
+        g0 = E7.gram
         u = exact.identity_matrix(7)
         for _ in range(30):
             i, j = rng.sample(range(7), 2)
@@ -213,7 +213,7 @@ class TestWeights:
         dec = decompose_root_system(E6, enumerate_roots(E6))
         w = fundamental_weight(dec, 0, 3)
         _, simples = dec.components[0]
-        g = E6.gram_lists()
+        g = E6.gram
         for i, s in enumerate(simples, start=1):
             got = exact.dot_gram(list(w), g, list(s))
             assert got == (1 if i == 3 else 0)

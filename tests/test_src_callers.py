@@ -1,7 +1,7 @@
 """Every function, method, constant and dataclass field of ``src/istrata`` is read.
 
-The scan ``ast``-parses each module.  A module-level function, public or
-private, and a module-level ``_name`` constant must be named, as a whole word,
+The scan ``ast``-parses each module.  A module-level function or constant,
+public or private (dunders are exempt), must be named, as a whole word,
 somewhere in the Python files of ``src/``, ``demos/`` or ``perfbench/``
 outside the lines of its own definition.  A public method or property of a
 module-level class counts as called only where ``.name`` appears outside its
@@ -48,8 +48,8 @@ def _is_dataclass(cls):
     return False
 
 
-def _private_constants(node):
-    """The ``_name`` (not dunder) targets of a module-level assignment."""
+def _constants(node):
+    """The non-dunder name targets of a module-level assignment."""
     if isinstance(node, ast.Assign):
         targets = node.targets
     elif isinstance(node, ast.AnnAssign):
@@ -59,19 +59,19 @@ def _private_constants(node):
     names = [t for tgt in targets for t in (tgt.elts if isinstance(tgt, ast.Tuple) else [tgt])]
     return [
         t.id for t in names
-        if isinstance(t, ast.Name) and t.id.startswith("_") and not t.id.startswith("__")
+        if isinstance(t, ast.Name) and not t.id.startswith("__")
     ]
 
 
 def _defs(tree):
     """(qualified name, pattern, first line, last line) of each module-level
-    function and ``_name`` constant, and of each public method and dataclass
+    function and constant, and of each public method and dataclass
     field; a field has no excluded lines."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             yield node.name, rf"\b{node.name}\b", first, node.end_lineno
-        for name in _private_constants(node):
+        for name in _constants(node):
             yield name, rf"\b{name}\b", node.lineno, node.end_lineno
         if not isinstance(node, ast.ClassDef):
             continue
