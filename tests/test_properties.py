@@ -796,6 +796,8 @@ def _at(obj, path):
 
 
 _JSON_VALUES = [None, True, 0, -1, 1.5, "1/2", "x", [], {}, [[0, 1], 1]]
+_LABELS = ["E8", "E7", "E6", "D10", "D4", "A1", "A8", "D24", "E8+E8+E8", "E7+E7+D10",
+           "E9", "D3", "A0", "e8", "", "E8+E8"]
 _exact_coords = st.lists(
     st.builds(lambda p, q: f"{p}/{q}", st.integers(-30, 30), st.integers(1, 12)),
     min_size=2, max_size=2,
@@ -806,7 +808,7 @@ def _mutate(data, obj):
     """Apply one drawn mutation to the dataset `obj` in place."""
     paths = list(_json_paths(obj))
     kind = data.draw(st.sampled_from(
-        ["drop", "rename", "retype", "truncate", "flip", "point"]
+        ["drop", "rename", "retype", "truncate", "flip", "point", "relabel"]
     ))
     if kind in ("drop", "rename"):
         path = data.draw(st.sampled_from(
@@ -833,6 +835,13 @@ def _mutate(data, obj):
             [p for p in paths if "zero_flags" in p and isinstance(p[-1], int)]
         ))
         _at(obj, path[:-1])[path[-1]] = not _at(obj, path)
+    elif kind == "relabel":
+        path = data.draw(st.sampled_from(
+            [p for p in paths if p[-1] in ("label", "root_label")]
+        ))
+        _at(obj, path[:-1])[path[-1]] = data.draw(
+            st.one_of(st.sampled_from(_LABELS), st.text(max_size=6))
+        )
     else:
         path = data.draw(st.sampled_from(
             [p for p in paths if len(p) == 5 and p[2] == "psi_points"]

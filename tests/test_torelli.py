@@ -205,6 +205,86 @@ class TestClassifier:
         assert a == b
 
 
+def _relabel_a8(obj):
+    # a root system of rank 24 other than the two the strata have
+    for s in obj["summands"]:
+        s["label"] = "A8"
+    obj["root_label"] = "A8+A8+A8"
+
+
+def _pair_orders_two(obj):
+    for e in obj["jw1_pair_indices"]:
+        e[1] = 2
+    obj["pair_pattern"] = [2, 2, 2]
+
+
+def _psi_zero(obj):
+    for s in obj["summands"]:
+        s["psi_points"] = [[["0", "0"]] * len(curve) for curve in s["psi_points"]]
+        s["zero_flags"] = [True] * len(s["zero_flags"])
+
+
+def _one_curve(obj):
+    obj["k"] = 1
+    obj["jw1_pair_indices"] = []
+    obj["pair_pattern"] = []
+    for s in obj["summands"]:
+        s["psi_points"] = s["psi_points"][:1]
+        s["zero_flags"] = s["zero_flags"][:1]
+
+
+E8_3 = "E8+E8+E8"
+OUTSIDE = "outside classified strata"
+
+# every rule of classify_stratum, on a dataset that agrees with itself: the
+# seed-3 fixture of a stratum, edited by a crafting function when given
+CLASSIFIER_OUTCOMES = [
+    ("rat22", None, "rat22", {
+        "root_label": "E7+E7+D10", "k": 2, "pair_pattern": [1],
+        "rule": "root label E7+E7+D10 is unique to the (2,2) stratum"}),
+    ("rat11", _relabel_a8, OUTSIDE, {
+        "root_label": "A8+A8+A8", "k": 2, "pair_pattern": [1],
+        "rule": "root label outside the classified list"}),
+    ("ell111", None, "ell111", {
+        "root_label": E8_3, "k": 3, "pair_pattern": [1, 2, 2],
+        "rule": "k=3 with one isomorphic marking pair"}),
+    ("ell211", None, "ell211", {
+        "root_label": E8_3, "k": 3, "pair_pattern": [1, 1, 2],
+        "rule": "k=3 with two isomorphic marking pairs"}),
+    ("ell111", _pair_orders_two, OUTSIDE, {
+        "root_label": E8_3, "k": 3, "pair_pattern": [2, 2, 2],
+        "rule": "k=3 pattern unrecognized"}),
+    ("enriques", None, "enriques", {
+        "root_label": E8_3, "k": 2, "pair_pattern": [2],
+        "rule": "k=2 with non-isomorphic W1 sum"}),
+    ("rat11", None, "rat11", {
+        "root_label": E8_3, "k": 2, "pair_pattern": [1], "single_factor_summands": 2,
+        "rule": "two root summands confined to single JD factors"}),
+    ("rat21", None, "rat21", {
+        "root_label": E8_3, "k": 2, "pair_pattern": [1], "single_factor_summands": 1,
+        "rule": "one root summand confined to a single JD factor"}),
+    ("rat11", _psi_zero, OUTSIDE, {
+        "root_label": E8_3, "k": 2, "pair_pattern": [1], "single_factor_summands": 0,
+        "rule": "k=2 ψ block structure unrecognized"}),
+    ("rat11", _one_curve, OUTSIDE, {
+        "root_label": E8_3, "k": 1, "pair_pattern": [],
+        "rule": "k outside classified range"}),
+]
+
+
+@pytest.mark.parametrize(
+    "stratum, craft, label, cert",
+    CLASSIFIER_OUTCOMES,
+    ids=[f"{c[0]}-{c[1].__name__.strip('_') if c[1] else 'fixture'}" for c in CLASSIFIER_OUTCOMES],
+)
+def test_pinned_classifier_outcomes(stratum, craft, label, cert):
+    obj = dataset_to_json(gen_fixture(stratum, 3)[0])
+    if craft:
+        craft(obj)
+    ds = dataset_from_json(json.loads(dumps(obj)))
+    assert classify_stratum(ds) == (label, cert)
+
+
 class TestReconstruct111:
     def test_round_trip(self):
         for seed in (0, 1, 2, *BENCH_SEEDS):
