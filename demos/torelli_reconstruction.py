@@ -15,8 +15,12 @@ from istrata import torelli
 
 def main():
     print("=== classifier on its own fixtures ===\n")
-    matrix = torelli.classifier_confusion_matrix(range(3))
-    for label, row in matrix.items():
+    # label → classified-label counts over seeds 0–2
+    for label in torelli.STRATUM_LABELS:
+        row = {}
+        for seed in range(3):
+            got, _ = torelli.classify_stratum(torelli.gen_fixture(label, seed)[0])
+            row[got] = row.get(got, 0) + 1
         print(f"  {label:9s} -> {row}")
     print()
 

@@ -70,14 +70,6 @@ def vec_mat(v, a):
     return [sum(map(mul, v, col)) for col in zip(*a)]
 
 
-def vec_add(u, v):
-    return [x + y for x, y in zip(u, v)]
-
-
-def vec_scale(c, v):
-    return [c * x for x in v]
-
-
 def dot_gram(u, gram, v):
     """Pairing u·v with respect to a Gram matrix (zero coordinates of u skipped)."""
     return sum(x * sum(map(mul, row, v)) for x, row in zip(u, gram) if x)

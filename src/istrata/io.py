@@ -150,18 +150,23 @@ def _check(ok, message):
         raise InputError(f"dataset: {message}")
 
 
+# An ADE name (An with n ≥ 1, Dn with n ≥ 4, E6–E8); n, with no leading
+# zero, is the number of simple roots
+_ADE = re.compile(r"A[1-9][0-9]*|D([4-9]|[1-9][0-9]+)|E[678]")
+
+
 def _summand_from_json(s, summand, point):
     """The `summand` (SummandData) of one stored summand, its ψ values built
     as `point`s (TorusPoint); the caller imports both once per dataset."""
     _check(isinstance(s, dict) and s.keys() == _SUMMAND_KEYS,
            f"a summand must have exactly the keys {sorted(_SUMMAND_KEYS)}")
-    _check(isinstance(s["label"], str), "a summand label must be a string")
     roots = s["simple_roots"]
     _check(isinstance(roots, list) and all(_is_ints(r, _LAMBDA_RANK) for r in roots),
            f"simple roots must be lists of {_LAMBDA_RANK} JSON integers")
-    flags = s["zero_flags"]
-    _check(isinstance(flags, list) and all(type(z) is bool for z in flags),
-           "zero_flags must be a list of JSON booleans")
+    label = s["label"]
+    _check(isinstance(label, str) and _ADE.fullmatch(label) and label[1:] == str(len(roots)),
+           "a summand label must name an ADE type (An, n ≥ 1; Dn, n ≥ 4; E6–E8) "
+           "of rank its number of simple roots")
     points = s["psi_points"]
     _check(
         isinstance(points, list)
@@ -173,22 +178,27 @@ def _summand_from_json(s, summand, point):
         ),
         f"psi_points must hold one {_POINT_RANK}-coordinate point per simple root per curve",
     )
-    psi = tuple(
-        tuple(point(tuple(fraction_from_str(c) for c in p)) for p in curve) for curve in points
-    )
-    _check(flags == [all(p.is_zero() for p in curve) for curve in psi],
-           "each zero flag must say whether every ψ point on its curve is zero")
-    return summand(
-        label=s["label"],
+    out = summand(
+        label=label,
         simple_roots=tuple(tuple(r) for r in roots),
-        zero_flags=tuple(flags),
-        psi_points=psi,
+        psi_points=tuple(
+            tuple(point(tuple(fraction_from_str(c) for c in p)) for p in curve)
+            for curve in points
+        ),
     )
+    flags = s["zero_flags"]
+    _check(isinstance(flags, list) and all(type(z) is bool for z in flags)
+           and flags == list(out.zero_flags),
+           "zero_flags must be JSON booleans, each saying whether every ψ point on its curve "
+           "is zero")
+    return out
 
 
 def dataset_from_json(obj):
     """The BoundaryDataset of a document in exactly the layout
-    `dataset_to_json` writes; anything else raises InputError."""
+    `dataset_to_json` writes; anything else raises InputError.  The stored
+    `zero_flags`, `pair_pattern` and `root_label` must equal the values the
+    dataset derives from its ψ points, pair indices and summand labels."""
     from .torelli import BoundaryDataset, SummandData
     from .tori import TorusPoint
 
@@ -199,10 +209,6 @@ def dataset_from_json(obj):
            f"a dataset must have exactly the keys {sorted(_DATASET_KEYS)}")
     k = obj["k"]
     _check(type(k) is int and k >= 0, "k must be a nonnegative JSON integer")
-    pattern = obj["pair_pattern"]
-    _check(_is_ints(pattern) and all(x >= 1 for x in pattern),
-           "pair_pattern must be a list of JSON integers ≥ 1")
-    _check(isinstance(obj["root_label"], str), "root_label must be a string")
     pairs = obj["jw1_pair_indices"]
     _check(
         isinstance(pairs, list)
@@ -216,20 +222,21 @@ def dataset_from_json(obj):
         and [e[0] for e in pairs] == [[i, j] for i, j in combinations(range(k), 2)],
         "jw1_pair_indices must list [[i, j], order ≥ 1] for each pair i < j < k in order",
     )
-    _check(pattern == sorted(e[1] for e in pairs),
-           "pair_pattern must be the sorted orders of jw1_pair_indices")
     _check(isinstance(obj["summands"], list), "summands must be a list")
     summands = tuple(_summand_from_json(s, SummandData, TorusPoint) for s in obj["summands"])
     try:
-        return BoundaryDataset(
+        ds = BoundaryDataset(
             k=k,
-            pair_pattern=tuple(pattern),
-            root_label=obj["root_label"],
             summands=summands,
             jw1_pair_indices=tuple((tuple(pair), order) for pair, order in pairs),
         )
     except ValueError as exc:  # ranks not totalling 24, or per-curve lengths ≠ k
         raise InputError(f"dataset: {exc}") from exc
+    _check(_is_ints(obj["pair_pattern"]) and obj["pair_pattern"] == list(ds.pair_pattern),
+           "pair_pattern must be the sorted orders of jw1_pair_indices")
+    _check(obj["root_label"] == ds.root_label,
+           'root_label must be the summand labels joined by "+"')
+    return ds
 
 
 def dumps(obj, indent=None):

@@ -109,9 +109,9 @@ def _check_frame(frame):
     if frame.label == "ell111":
         a1, a2, a3 = frame.alphas
         b1, b2, b3 = frame.betas
-        if list(a3) != exact.vec_add(exact.vec_scale(2, a1), a2):
+        if list(a3) != [2 * x + y for x, y in zip(a1, a2)]:
             raise exact.VerificationError("α₃ ≠ 2α₁ + α₂ on the ell111 frame")
-        if list(b3) != exact.vec_add(b1, exact.vec_scale(2, b2)):
+        if list(b3) != [x + 2 * y for x, y in zip(b1, b2)]:
             raise exact.VerificationError("β₃ ≠ β₁ + 2β₂ on the ell111 frame")
 
 

@@ -9,7 +9,7 @@ pair-index pattern, ψ block structure) and names the boundary stratum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -19,7 +19,6 @@ from .roots import build_En_lattice, weyl_reflect
 from .strata import (
     STRATUM_LABELS,
     build_stratum_model,
-    compute_lambda,
     extension_map,
     generate_restriction_data,
     psi_summands,
@@ -229,15 +228,25 @@ def exceptional_via_weyl_orbit(n):
 class SummandData:
     label: str
     simple_roots: tuple  # in Λ coordinates
-    zero_flags: tuple  # per double curve: ψᵢ ≡ 0 on the summand
+    zero_flags: tuple = field(init=False)  # per double curve: ψᵢ ≡ 0 on the summand
     psi_points: tuple  # per curve: tuple of TorusPoint on the simple roots
+
+    def __post_init__(self):
+        flags = tuple(all(p.is_zero() for p in pts) for pts in self.psi_points)
+        object.__setattr__(self, "zero_flags", flags)
+
+    @property
+    def single_curve(self):
+        """The only curve on which ψ is nonzero on the summand, or None."""
+        live = [i for i, z in enumerate(self.zero_flags) if not z]
+        return live[0] if len(live) == 1 else None
 
 
 @dataclass(frozen=True)
 class BoundaryDataset:
     k: int
-    pair_pattern: tuple  # monodromy pair-index multiset, sorted
-    root_label: str
+    pair_pattern: tuple = field(init=False)  # the sorted pair indices
+    root_label: str = field(init=False)  # the summand labels joined by "+"
     summands: tuple  # SummandData
     jw1_pair_indices: tuple  # ((i, j), kernel order) per unordered curve pair
 
@@ -245,16 +254,14 @@ class BoundaryDataset:
         rank = sum(len(s.simple_roots) for s in self.summands)
         if rank != 24:
             raise ValueError("summand ranks must total 24")
-        for s in self.summands:
-            if len(s.zero_flags) != self.k or len(s.psi_points) != self.k:
-                raise ValueError("per-curve data length mismatch")
+        if any(len(s.psi_points) != self.k for s in self.summands):
+            raise ValueError("per-curve data length mismatch")
+        pattern = tuple(sorted(idx for _, idx in self.jw1_pair_indices))
+        object.__setattr__(self, "pair_pattern", pattern)
+        object.__setattr__(self, "root_label", "+".join(s.label for s in self.summands))
 
     def single_factor_count(self):
-        count = 0
-        for s in self.summands:
-            if sum(1 for z in s.zero_flags if not z) == 1:
-                count += 1
-        return count
+        return sum(s.single_curve is not None for s in self.summands)
 
 
 def gen_fixture(label, seed):
@@ -263,45 +270,47 @@ def gen_fixture(label, seed):
     if label not in STRATUM_LABELS:
         raise ValueError(f"unknown stratum label {label!r}")
     model = build_stratum_model(label)
-    lam = compute_lambda(label)
-    frame = build_frame(label)
-    pairs = pair_indices(frame)
     restriction = generate_restriction_data(model, seed)
     psi = extension_map(model, restriction)
-    summands = []
-    for lbl, simples in psi_summands(label):
-        flags, points = [], []
-        for m, d in psi:
+    summands = tuple(
+        SummandData(
+            label=lbl,
+            simple_roots=simples,
             # ψᵢ(s) = Mᵢs/dᵢ mod ℤ² on each simple root s, built reduced
-            vals = tuple(
-                TorusPoint(tuple(Fraction(t % d, d) for t in mat_vec(m, s))) for s in simples
-            )
-            flags.append(all(v.is_zero() for v in vals))
-            points.append(vals)
-        summands.append(
-            SummandData(
-                label=lbl,
-                simple_roots=simples,
-                zero_flags=tuple(flags),
-                psi_points=tuple(points),
-            )
+            psi_points=tuple(
+                tuple(
+                    TorusPoint(tuple(Fraction(t % d, d) for t in mat_vec(m, s))) for s in simples
+                )
+                for m, d in psi
+            ),
         )
+        for lbl, simples in psi_summands(label)
+    )
     ds = BoundaryDataset(
-        k=model.k,
-        pair_pattern=tuple(sorted(idx for _, idx in pairs)),
-        root_label=lam.root_data.label,
-        summands=tuple(summands),
-        jw1_pair_indices=pairs,
+        k=model.k, summands=summands, jw1_pair_indices=pair_indices(build_frame(label))
     )
     descriptor = {
         "stratum": label,
         "seed": seed,
         "z_configs": tuple(
-            AnticanonicalConfig(RationalTorus(2), pts) if len(pts) >= 3 else pts
-            for pts in restriction.z_points
+            AnticanonicalConfig(RationalTorus(2), pts) for pts in restriction.z_points
         ),
     }
     return ds, descriptor
+
+
+_OUTSIDE = "outside classified strata"
+
+# (label, rule) on the root label E8+E8+E8: by the pair pattern when k = 3,
+# and by the number of single-factor summands when k = 2 off enriques
+_K3_PATTERNS = {
+    (1, 2, 2): ("ell111", "k=3 with one isomorphic marking pair"),
+    (1, 1, 2): ("ell211", "k=3 with two isomorphic marking pairs"),
+}
+_K2_SINGLE_FACTORS = {
+    2: ("rat11", "two root summands confined to single JD factors"),
+    1: ("rat21", "one root summand confined to a single JD factor"),
+}
 
 
 def classify_stratum(ds):
@@ -314,37 +323,20 @@ def classify_stratum(ds):
         "pair_pattern": list(ds.pair_pattern),
     }
     if ds.root_label == "E7+E7+D10":
-        cert["rule"] = "root label E7+E7+D10 is unique to the (2,2) stratum"
-        return "rat22", cert
-    if ds.root_label != "E8+E8+E8":
-        cert["rule"] = "root label outside the classified list"
-        return "outside classified strata", cert
-    pattern = sorted(ds.pair_pattern)
-    if ds.k == 3:
-        if pattern == [1, 2, 2]:
-            cert["rule"] = "k=3 with one isomorphic marking pair"
-            return "ell111", cert
-        if pattern == [1, 1, 2]:
-            cert["rule"] = "k=3 with two isomorphic marking pairs"
-            return "ell211", cert
-        cert["rule"] = "k=3 pattern unrecognized"
-        return "outside classified strata", cert
-    if ds.k == 2:
-        if pattern == [2]:
-            cert["rule"] = "k=2 with non-isomorphic W1 sum"
-            return "enriques", cert
-        sf = ds.single_factor_count()
-        cert["single_factor_summands"] = sf
-        if sf == 2:
-            cert["rule"] = "two root summands confined to single JD factors"
-            return "rat11", cert
-        if sf == 1:
-            cert["rule"] = "one root summand confined to a single JD factor"
-            return "rat21", cert
-        cert["rule"] = "k=2 ψ block structure unrecognized"
-        return "outside classified strata", cert
-    cert["rule"] = "k outside classified range"
-    return "outside classified strata", cert
+        label, rule = "rat22", "root label E7+E7+D10 is unique to the (2,2) stratum"
+    elif ds.root_label != "E8+E8+E8":
+        label, rule = _OUTSIDE, "root label outside the classified list"
+    elif ds.k == 3:
+        label, rule = _K3_PATTERNS.get(ds.pair_pattern, (_OUTSIDE, "k=3 pattern unrecognized"))
+    elif ds.k == 2 and ds.pair_pattern == (2,):
+        label, rule = "enriques", "k=2 with non-isomorphic W1 sum"
+    elif ds.k == 2:
+        sf = cert["single_factor_summands"] = ds.single_factor_count()
+        label, rule = _K2_SINGLE_FACTORS.get(sf, (_OUTSIDE, "k=2 ψ block structure unrecognized"))
+    else:
+        label, rule = _OUTSIDE, "k outside classified range"
+    cert["rule"] = rule
+    return label, cert
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +368,9 @@ def reconstruct_111(ds):
     section = next(i for i in range(ds.k) if i not in distinguished)
     curve_summand = {}
     for s in ds.summands:
-        nonzero = [i for i, z in enumerate(s.zero_flags) if not z]
-        if len(nonzero) == 1 and nonzero[0] in distinguished:
-            curve_summand.setdefault(nonzero[0], s)
+        i = s.single_curve
+        if i in distinguished:
+            curve_summand.setdefault(i, s)
     if sorted(curve_summand) != sorted(distinguished):
         raise ValueError("distinguished curves lack single-factor summands")
     configs = []
@@ -400,15 +392,3 @@ def descriptors_equivalent(reconstructed, generating_configs):
     gens = [canonical_translate(c).points for c in generating_configs]
     return recs == gens or recs == gens[::-1]
 
-
-def classifier_confusion_matrix(seeds):
-    """Label → classified-label counts over gen_fixture datasets."""
-    out = {}
-    for label in STRATUM_LABELS:
-        row = {}
-        for seed in seeds:
-            ds, _ = gen_fixture(label, seed)
-            got, _ = classify_stratum(ds)
-            row[got] = row.get(got, 0) + 1
-        out[label] = row
-    return out

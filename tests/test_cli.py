@@ -123,6 +123,26 @@ def _pattern_not_the_pair_orders(obj):
     obj["pair_pattern"] = [2]
 
 
+def _root_label_rat22(obj):
+    # used to classify as rat22
+    obj["root_label"] = "E7+E7+D10"
+
+
+def _second_e8_as_a1(obj):
+    # used to classify as rat11: eight simple roots under a rank-1 name
+    obj["summands"][1]["label"] = "A1"
+
+
+def _second_e8_as_a1_with_root_label(obj):
+    _second_e8_as_a1(obj)
+    obj["root_label"] = "E8+A1+E8"
+
+
+def _simple_root_coordinate_plus_5(obj):
+    # not detected: the dataset does not carry Λ's Gram to check a root against
+    obj["summands"][0]["simple_roots"][0][0] += 5
+
+
 class TestCli:
     def run(self, capsys, *argv):
         code = main(list(argv))
@@ -341,6 +361,26 @@ class TestCli:
             assert report is None
             assert "input error" in err
 
+    TAMPERS = [
+        _root_label_rat22,
+        _second_e8_as_a1,
+        _second_e8_as_a1_with_root_label,
+        _simple_root_coordinate_plus_5,
+    ]
+
+    @pytest.mark.parametrize("tamper", TAMPERS, ids=lambda f: f.__name__.strip("_"))
+    def test_tampered_rat11_fixture(self, capsys, tmp_path, tamper):
+        _, obj, _ = self.run(capsys, "gen-fixture", "rat11", "--seed", "3")
+        tamper(obj)
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(obj))
+        code, report, err = self.run(capsys, "classify", "--input", str(path))
+        if tamper is _simple_root_coordinate_plus_5:
+            assert (code, report["classified_as"]) == (0, "rat11")
+        else:
+            assert (code, report) == (2, None)
+            assert err.startswith("input error: dataset:")
+
     def test_overlong_number_in_lattice_is_input_error(self, capsys, tmp_path):
         # json.load refuses integers past the int-string digit limit (4300)
         path = tmp_path / "lat.json"
@@ -404,9 +444,10 @@ class TestCli:
         code, _, _ = self.run(capsys, "classify")
         assert code == 2
 
-    def test_short_period_list_is_exit_3(self, capsys, tmp_path):
-        # still classifies as ell111, but the single-factor summand on curve 0
-        # has one simple root: one period where the period map needs eight
+    def test_split_summand_is_input_error(self, capsys, tmp_path):
+        # the first E8 summand split into summands of 1 and 7 simple roots,
+        # each still labelled E8: the labels no longer name their ranks, nor
+        # join to the stored root_label, so it never reaches the period map
         code, obj, _ = self.run(capsys, "gen-fixture", "ell111", "--seed", "4")
         assert code == 0
         first = obj["summands"][0]
@@ -426,9 +467,9 @@ class TestCli:
             [sys.executable, "-m", "istrata.cli", "reconstruct", "--input", str(path)],
             env=env, capture_output=True, text=True, timeout=600,
         )
-        assert (proc.returncode, proc.stdout) == (3, "")
+        assert (proc.returncode, proc.stdout) == (2, "")
         assert "Traceback" not in proc.stderr
-        assert proc.stderr == "precondition not met: period count mismatch\n"
+        assert proc.stderr.startswith("input error: dataset:")
 
     def test_precondition_failure_is_exit_3(self, capsys, tmp_path):
         # cuspidal fibre: reduction refuses

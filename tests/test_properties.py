@@ -768,7 +768,8 @@ def test_fixture_psi_matches_fraction_oracle(label, seed):
 
 # ---------------------------------------------------------------------------
 # hostile datasets: `classify --input` and `reconstruct --input` must map every
-# mutation of a gen-fixture dataset to exit 0, 2 or 3, never a traceback
+# mutation of a gen-fixture dataset to exit 0, 2 or 3, never a traceback, and
+# a changed label to exit 2
 
 
 @lru_cache(maxsize=None)
@@ -805,7 +806,8 @@ _exact_coords = st.lists(
 
 
 def _mutate(data, obj):
-    """Apply one drawn mutation to the dataset `obj` in place."""
+    """Apply one drawn mutation to the dataset `obj` in place; True when it
+    changed a summand label or the root label."""
     paths = list(_json_paths(obj))
     kind = data.draw(st.sampled_from(
         ["drop", "rename", "retype", "truncate", "flip", "point", "relabel"]
@@ -839,9 +841,11 @@ def _mutate(data, obj):
         path = data.draw(st.sampled_from(
             [p for p in paths if p[-1] in ("label", "root_label")]
         ))
+        old = _at(obj, path)
         _at(obj, path[:-1])[path[-1]] = data.draw(
             st.one_of(st.sampled_from(_LABELS), st.text(max_size=6))
         )
+        return _at(obj, path) != old
     else:
         path = data.draw(st.sampled_from(
             [p for p in paths if len(p) == 5 and p[2] == "psi_points"]
@@ -855,7 +859,7 @@ def _mutate(data, obj):
 @given(st.sampled_from([("ell111", 3), ("rat21", 3), ("enriques", 0)]), st.data())
 def test_dataset_commands_on_hostile_datasets(fixture, data):
     obj = json.loads(_fixture_text(*fixture))
-    _mutate(data, obj)
+    relabelled = _mutate(data, obj)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "dataset.json")
         with open(path, "w") as f:
@@ -866,6 +870,8 @@ def test_dataset_commands_on_hostile_datasets(fixture, data):
                 code = main([command, "--input", path])
             assert code in (0, 2, 3), err.getvalue()
             assert (code == 0) == bool(out.getvalue())
+            if relabelled:
+                assert code == 2, err.getvalue()
 
 
 # ---------------------------------------------------------------------------

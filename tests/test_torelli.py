@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -168,10 +169,8 @@ class TestClassifier:
         ds, _ = gen_fixture("ell111", 1)
         mangled = BoundaryDataset(
             k=3,
-            pair_pattern=(2, 2, 2),
-            root_label=ds.root_label,
             summands=ds.summands,
-            jw1_pair_indices=ds.jw1_pair_indices,
+            jw1_pair_indices=tuple((pair, 2) for pair, _ in ds.jw1_pair_indices),
         )
         got, cert = classify_stratum(mangled)
         assert got == "outside classified strata"
@@ -180,11 +179,10 @@ class TestClassifier:
         ds, _ = gen_fixture("rat11", 1)
         mangled = BoundaryDataset(
             k=ds.k,
-            pair_pattern=ds.pair_pattern,
-            root_label="D24",
-            summands=ds.summands,
+            summands=(dataclasses.replace(ds.summands[0], label="D8"), *ds.summands[1:]),
             jw1_pair_indices=ds.jw1_pair_indices,
         )
+        assert mangled.root_label == "D8+E8+E8"
         got, _ = classify_stratum(mangled)
         assert got == "outside classified strata"
 
@@ -193,8 +191,6 @@ class TestClassifier:
         with pytest.raises(ValueError):
             BoundaryDataset(
                 k=ds.k,
-                pair_pattern=ds.pair_pattern,
-                root_label=ds.root_label,
                 summands=ds.summands[:2],
                 jw1_pair_indices=ds.jw1_pair_indices,
             )
