@@ -52,7 +52,7 @@ class TorusPoint:
         return TorusPoint(tuple(n * a for a in self.coords))
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)  # the coordinates are reduced into [0, 1)
 
     def order(self):
         """Order in the torus group (coordinates are rational, so finite)."""
