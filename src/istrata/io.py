@@ -50,14 +50,19 @@ def fraction_to_str(f):
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
-def fraction_from_str(s):
-    """A JSON integer, or a "p" or "p/q" string with q ≠ 0, as a Fraction."""
+def _int_pair(s):
+    """(p, q) of a JSON integer p (q = 1), or of a "p" or "p/q" string with q ≠ 0."""
     if type(s) is int:
-        return Fraction(s)
+        return s, 1
     if isinstance(s, str) and _RATIONAL.fullmatch(s):
         num, _, den = s.partition("/")
-        return Fraction(_parse_int(num), _parse_int(den or "1"))
+        return _parse_int(num), _parse_int(den or "1")
     raise InputError(f"not an exact rational: {s!r}")
+
+
+def fraction_from_str(s):
+    """A JSON integer, or a "p" or "p/q" string with q ≠ 0, as a Fraction."""
+    return Fraction(*_int_pair(s))
 
 
 def _is_ints(obj, n=None):
@@ -132,11 +137,17 @@ def dataset_to_json(ds):
                 "label": s.label,
                 "simple_roots": [list(r) for r in s.simple_roots],
                 "zero_flags": list(s.zero_flags),
-                "psi_points": [[point_to_json(p) for p in pts] for pts in s.psi_points],
+                "psi_points": [_points_to_json(curve) for curve in s.psi],
             }
             for s in ds.summands
         ],
     }
+
+
+def _points_to_json(pairs):
+    """The [x, y] rows of a flat tuple of reduced pairs (n, d) x₁, y₁, x₂, y₂, …"""
+    coords = [str(n) if d == 1 else f"{n}/{d}" for n, d in pairs]
+    return [coords[k:k + 2] for k in range(0, len(coords), 2)]
 
 
 _DATASET_KEYS = {"version", "k", "pair_pattern", "root_label", "jw1_pair_indices", "summands"}
@@ -155,9 +166,9 @@ def _check(ok, message):
 _ADE = re.compile(r"A[1-9][0-9]*|D([4-9]|[1-9][0-9]+)|E[678]")
 
 
-def _summand_from_json(s, summand, point):
-    """The `summand` (SummandData) of one stored summand, its ψ values built
-    as `point`s (TorusPoint); the caller imports both once per dataset."""
+def _summand_from_json(s, summand, mod1_pair):
+    """The `summand` (SummandData) of one stored summand, each ψ coordinate
+    held as its `mod1_pair`; the caller imports both once per dataset."""
     _check(isinstance(s, dict) and s.keys() == _SUMMAND_KEYS,
            f"a summand must have exactly the keys {sorted(_SUMMAND_KEYS)}")
     roots = s["simple_roots"]
@@ -181,8 +192,9 @@ def _summand_from_json(s, summand, point):
     out = summand(
         label=label,
         simple_roots=tuple(tuple(r) for r in roots),
-        psi_points=tuple(
-            tuple(point(tuple(fraction_from_str(c) for c in p)) for p in curve)
+        psi=tuple(
+            # "0", the most common coordinate, skips the parse
+            tuple((0, 1) if c == "0" else mod1_pair(*_int_pair(c)) for p in curve for c in p)
             for curve in points
         ),
     )
@@ -198,9 +210,8 @@ def dataset_from_json(obj):
     """The BoundaryDataset of a document in exactly the layout
     `dataset_to_json` writes; anything else raises InputError.  The stored
     `zero_flags`, `pair_pattern` and `root_label` must equal the values the
-    dataset derives from its ψ points, pair indices and summand labels."""
-    from .torelli import BoundaryDataset, SummandData
-    from .tori import TorusPoint
+    dataset derives from its ψ values, pair indices and summand labels."""
+    from .torelli import BoundaryDataset, SummandData, mod1_pair
 
     version = obj.get("version")
     if type(version) is not int or version != FORMAT_VERSION:
@@ -223,7 +234,7 @@ def dataset_from_json(obj):
         "jw1_pair_indices must list [[i, j], order ≥ 1] for each pair i < j < k in order",
     )
     _check(isinstance(obj["summands"], list), "summands must be a list")
-    summands = tuple(_summand_from_json(s, SummandData, TorusPoint) for s in obj["summands"])
+    summands = tuple(_summand_from_json(s, SummandData, mod1_pair) for s in obj["summands"])
     try:
         ds = BoundaryDataset(
             k=k,

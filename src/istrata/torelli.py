@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 
-from .exact import VerificationError, mat_vec
+from .exact import VerificationError
 from .monodromy import build_frame, pair_indices
 from .roots import build_En_lattice, weyl_reflect
 from .strata import (
@@ -224,16 +225,32 @@ def exceptional_via_weyl_orbit(n):
 # boundary datasets and the classifier
 
 
+def mod1_pair(n, d):
+    """(p, q) with p/q = n/d mod 1 in [0, 1) and in lowest terms, for ints n
+    and d > 0; zero is (0, 1).  The form of a ψ coordinate in SummandData."""
+    n %= d
+    g = gcd(n, d)
+    return n // g, d // g
+
+
 @dataclass(frozen=True)
 class SummandData:
     label: str
     simple_roots: tuple  # in Λ coordinates
     zero_flags: tuple = field(init=False)  # per double curve: ψᵢ ≡ 0 on the summand
-    psi_points: tuple  # per curve: tuple of TorusPoint on the simple roots
+    # per curve: the ψ coordinates x₁, y₁, x₂, y₂, … on the simple roots as one
+    # flat tuple of int pairs (n, d), each n/d reduced into [0, 1) and in lowest
+    # terms, zero being (0, 1)
+    psi: tuple
 
     def __post_init__(self):
-        flags = tuple(all(p.is_zero() for p in pts) for pts in self.psi_points)
+        flags = tuple(not any(n for n, _ in curve) for curve in self.psi)
         object.__setattr__(self, "zero_flags", flags)
+
+    def psi_points(self, i):
+        """ψᵢ on the simple roots as TorusPoints, built when read."""
+        c = self.psi[i]
+        return tuple(TorusPoint((Fraction(*x), Fraction(*y))) for x, y in zip(c[::2], c[1::2]))
 
     @property
     def single_curve(self):
@@ -254,7 +271,7 @@ class BoundaryDataset:
         rank = sum(len(s.simple_roots) for s in self.summands)
         if rank != 24:
             raise ValueError("summand ranks must total 24")
-        if any(len(s.psi_points) != self.k for s in self.summands):
+        if any(len(s.psi) != self.k for s in self.summands):
             raise ValueError("per-curve data length mismatch")
         pattern = tuple(sorted(idx for _, idx in self.jw1_pair_indices))
         object.__setattr__(self, "pair_pattern", pattern)
@@ -276,11 +293,9 @@ def gen_fixture(label, seed):
         SummandData(
             label=lbl,
             simple_roots=simples,
-            # ψᵢ(s) = Mᵢs/dᵢ mod ℤ² on each simple root s, built reduced
-            psi_points=tuple(
-                tuple(
-                    TorusPoint(tuple(Fraction(t % d, d) for t in mat_vec(m, s))) for s in simples
-                )
+            # ψᵢ(s) = Mᵢs/dᵢ mod ℤ² on each simple root s, each coordinate reduced
+            psi=tuple(
+                tuple(mod1_pair(sum(map(mul, s, row)), d) for s in simples for row in m)
                 for m, d in psi
             ),
         )
@@ -375,7 +390,7 @@ def reconstruct_111(ds):
         raise ValueError("distinguished curves lack single-factor summands")
     configs = []
     for i in distinguished:
-        periods = PeriodAssignment(n=8, values=tuple(curve_summand[i].psi_points[i]))
+        periods = PeriodAssignment(n=8, values=curve_summand[i].psi_points(i))
         configs.append(reconstruct_points(periods).canonical)
     return Ell111Descriptor(
         distinguished_pair=distinguished,

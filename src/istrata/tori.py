@@ -1,17 +1,18 @@
 """Rational tori: exact models of Jacobians and their morphisms.
 
 A torus of rank g is ℝ^g/ℤ^g; `RationalTorus` carries only g.  A rational
-point is a `TorusPoint` of Fractions in [0, 1): given as such (say
-Fraction(t % d, d) from integer numerators) they are kept, other ints and
-Fractions are reduced mod 1, and a float, a bool or a non-number raises
-ValueError.  A morphism is a plain integer g′×g matrix M in the column
-convention (x ↦ M·x).  `kernel_points` returns the finite kernel of a
-ℚ-injective one.
+point is a `TorusPoint` of Fractions in [0, 1): given as such they are kept,
+other ints and Fractions are reduced mod 1, and a float, a bool or a
+non-number raises ValueError.  A morphism is a plain integer g′×g matrix M in
+the column convention (x ↦ M·x).  `kernel_points` returns the finite kernel
+of a ℚ-injective one.
 
-The hot paths do no point arithmetic: the ψ values of `torelli.gen_fixture`
-and the (1,1,1) reconstruction (period map, E[3] translates, orbit
-comparison) run on integer numerators over one common denominator and build
-a `TorusPoint` only for what they hand back.
+The hot paths build no points.  A boundary dataset holds each ψ coordinate
+as a reduced integer pair (n, d) from `torelli.gen_fixture` through the JSON
+text to the classifier; the (1,1,1) reconstruction (period map, E[3]
+translates, orbit comparison) runs on integer numerators over one common
+denominator.  `TorusPoint`s are built only for the periods it inverts and
+the configurations it hands back.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ class TorusPoint:
 
     def scale(self, n):
         return TorusPoint(tuple(n * a for a in self.coords))
-
-    def is_zero(self):
-        return not any(self.coords)  # the coordinates are reduced into [0, 1)
 
     def order(self):
         """Order in the torus group (coordinates are rational, so finite)."""

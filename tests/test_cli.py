@@ -425,6 +425,76 @@ class TestCli:
         assert (code, report) == (2, None)
         assert "jw1_pair_indices must list" in err
 
+    def test_long_distinct_denominators_load_quickly(self, capsys, tmp_path):
+        # each ψ coordinate is reduced on its own: no common denominator of
+        # the 48 distinct 4,000-digit denominators on one summand and curve
+        # is formed.  The three summands are merged into one labelled D24,
+        # which classifies as outside the classified strata
+        code, obj, _ = self.run(capsys, "gen-fixture", "rat11", "--seed", "3")
+        assert code == 0
+        summands = obj["summands"]
+        curves = [sum((s["psi_points"][i] for s in summands), []) for i in range(obj["k"])]
+        for j, point in enumerate(curves[0]):
+            point[:] = [f"{3 * 10**3998 + 2 * j + r}/{10**3999 + 7 + 2 * j + r}" for r in (0, 1)]
+        obj["summands"] = [{
+            "label": "D24",
+            "simple_roots": sum((s["simple_roots"] for s in summands), []),
+            "zero_flags": [False] + [all(s["zero_flags"][i] for s in summands)
+                                     for i in range(1, obj["k"])],
+            "psi_points": curves,
+        }]
+        obj["root_label"] = "D24"
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(obj))
+        start = time.perf_counter()
+        code, report, _ = self.run(capsys, "classify", "--input", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert (code, report["classified_as"]) == (0, "outside classified strata")
+
+    @pytest.mark.parametrize(
+        "spell",
+        [
+            lambda n, d: f"{2 * n}/{2 * d}",  # "2/4" for "1/2"
+            lambda n, d: f"{n - d}/{d}",  # "-1/2"
+            lambda n, d: f"{n + d}/{d}",  # "3/2"
+            lambda n, d: "0/7" if n == 0 else None,
+            lambda n, d: 0 if n == 0 else None,  # a JSON integer for "0"
+        ],
+        ids=["doubled", "minus-one", "plus-one", "zero-over-seven", "json-zero"],
+    )
+    def test_equivalent_psi_spellings_load_alike(self, capsys, spell):
+        # the loader reduces each ψ coordinate mod 1 and to lowest terms, so
+        # every spelling of a value loads to the dataset gen_fixture builds
+        assert main(["gen-fixture", "rat11", "--seed", "3"]) == 0
+        text = capsys.readouterr().out
+        ds, _ = torelli.gen_fixture("rat11", 3)
+        spelled = 0
+        for zero in (True, False):
+            obj = json.loads(text)
+            points = (p for s in obj["summands"] for c in s["psi_points"] for p in c)
+            point = next(p for p in points if (p[0] == "0") == zero)
+            n, _, d = point[0].partition("/")
+            new = spell(int(n), int(d or "1"))
+            if new is None:
+                continue
+            point[0] = new
+            spelled += 1
+            back = serial.dataset_from_json(obj)
+            assert back == ds
+            assert serial.dumps(serial.dataset_to_json(back), indent=2) + "\n" == text
+        assert spelled > 0
+
+    def test_changed_psi_value_gives_another_dataset(self, capsys):
+        code, obj, _ = self.run(capsys, "gen-fixture", "rat11", "--seed", "3")
+        assert code == 0
+        point = next(
+            p for s in obj["summands"] for c in s["psi_points"] for p in c if p[0] != "0"
+        )
+        n, d = point[0].split("/")
+        point[0] = f"{n}/{int(d) + 1}"
+        ds, _ = torelli.gen_fixture("rat11", 3)
+        assert serial.dataset_from_json(obj) != ds
+
     def test_dataset_version_is_input_error(self, capsys, tmp_path):
         ds, _ = torelli.gen_fixture("rat11", 1)
         obj = serial.dataset_to_json(ds)

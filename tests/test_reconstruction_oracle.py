@@ -160,7 +160,7 @@ def test_fixture_reconstructions_match_oracle():
                 s for s in ds.summands
                 if [k for k, z in enumerate(s.zero_flags) if not z] == [i]
             )
-            per = PeriodAssignment(n=8, values=summand.psi_points[i])
+            per = PeriodAssignment(n=8, values=summand.psi_points(i))
             assert flatten(cfg) == flatten(oracle_reconstruct_points(per)[1])
         assert descriptors_equivalent(rec, gens)
         assert oracle_descriptors_equivalent(rec, gens)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from istrata import exact, torelli
+from istrata import exact, strata, torelli
 from istrata.io import dataset_from_json, dataset_to_json, dumps
 from istrata.io import point_to_json
 from istrata.roots import build_En_lattice
@@ -160,6 +160,21 @@ class TestClassifier:
         monkeypatch.setattr(exact, "smith_normal_form", lambda a: calls.append(a) or snf(a))
         gen_fixture("ell111", 1)
         assert len(calls) == 0
+
+    @pytest.mark.parametrize("label", [lb for lb in STRATUM_LABELS if lb != "ell111"])
+    def test_round_trip_builds_no_torus_point(self, monkeypatch, label):
+        # ψ travels as integer pairs from gen_fixture through the JSON text to
+        # the classifier; only the (1,1,1) reconstruction reads points.  The
+        # descriptor's z points are TorusPoints by design, built here as tuples
+        gen_fixture(label, 5)  # Λ and the ψ maps warm before the patch
+
+        def refuse(point):
+            raise AssertionError(f"a TorusPoint was built: {point.coords}")
+
+        monkeypatch.setattr(strata, "TorusPoint", tuple)
+        monkeypatch.setattr(TorusPoint, "__post_init__", refuse)
+        ds, _ = gen_fixture(label, 5)
+        assert classify_stratum(json_round_trip(ds))[0] == label
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
