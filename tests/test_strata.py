@@ -50,6 +50,11 @@ PINNED_PATTERN = {
 }
 
 
+# the rat21 seeds whose first draw is not generic, so the data is a redraw
+RAT21_REDRAW_SEEDS = (32302, 40090, 42005, 42238, 50472, 54475, 428131)
+PINNED_Z_POINTS = "b3387c6822d335cd147803596aae4f7b8b0319a3a67caac0a3213af6f595d092"
+
+
 class TestModels:
     def test_all_build_and_validate(self):
         for label in STRATUM_LABELS:
@@ -345,6 +350,26 @@ class TestExtensionMap:
         monkeypatch.undo()
         sizes = [[len(group) for group in curve] for curve in strata._generic_pattern(label)]
         assert sizes == [[len(roots) for _, roots in curve] for curve in pinned]
+
+    def test_pinned_z_points(self):
+        # sha256 over repr of the z-points (six labels at seeds 0–19, then the
+        # rat21 redraw seeds) and of the ell111 descriptor's z_configs (seeds
+        # 0–9); each z-point is the tail of its curve's two draw rows over 97
+        digest = hashlib.sha256()
+        cases = [(label, seed) for label in STRATUM_LABELS for seed in range(20)]
+        cases += [("rat21", seed) for seed in RAT21_REDRAW_SEEDS]
+        for label, seed in cases:
+            m = build_stratum_model(label)
+            rd = generate_restriction_data(m, seed)
+            n = m.y_tilde.lattice.rank
+            for pts, rows in zip(rd.z_points, rd.draws):
+                assert len(pts) == len(rows[0]) - n
+                for j, p in enumerate(pts):
+                    assert p.coords == (Fraction(rows[0][n + j], 97), Fraction(rows[1][n + j], 97))
+            digest.update(repr(rd.z_points).encode())
+        for seed in range(10):
+            digest.update(repr(gen_fixture("ell111", seed)[1]["z_configs"]).encode())
+        assert digest.hexdigest() == PINNED_Z_POINTS
 
     def test_redraw_gives_up(self, monkeypatch):
         # a root with no entries: no draw makes ψ nonzero on it
