@@ -304,12 +304,21 @@ class RestrictionData:
     For each curve i: the del Pezzo side sends εⱼ ↦ pⱼ (and h ↦ 0), so a
     class v restricts to (v·D′ᵢ, Σⱼ vⱼ pⱼ); the Ỹ side is a 2×rank(Ỹ)
     rational matrix constrained so that ψ kills every ξⱼ and [L].  Both are
-    drawn as numerators over 97 and kept as two integer draw rows
+    drawn as numerators over 97 and kept once, as two integer draw rows
     x = (Ỹ row, p₁, p₂, …) per curve; ψᵢ is linear in them (`_draw_maps`).
     """
 
-    z_points: tuple  # per curve: tuple of TorusPoint (one per εⱼ of Zᵢ)
+    y_width: int  # rank(Ỹ): the z numerators start at this index of a draw row
     draws: tuple  # per curve: two int draw rows (Ỹ row, p₁, p₂, …)
+
+    @property
+    def z_points(self):
+        """Per curve, pⱼ = (row₀[n + j], row₁[n + j]) / 97 as `TorusPoint`s, n = `y_width`."""
+        n = self.y_width
+        return tuple(
+            tuple(TorusPoint((Fraction(a, 97), Fraction(b, 97))) for a, b in zip(r0[n:], r1[n:]))
+            for r0, r1 in self.draws
+        )
 
 
 @lru_cache(maxsize=None)
@@ -414,14 +423,11 @@ def generate_restriction_data(model, seed):
     maps = _draw_maps(model.stratum)
     pattern = _generic_pattern(model.stratum)
     for _ in range(_MAX_DRAWS):
-        z_nums = [
-            [(rng.randrange(97), rng.randrange(97)) for _ in range(z.lattice.rank - 1)]
-            for z in model.dp_components
-        ]
-        draws = []
-        for pts in z_nums:
-            raw = [[rng.randrange(97) for _ in range(n)] for _ in range(2)]
-            draws.append(tuple(tuple(raw[r] + [xy[r] for xy in pts]) for r in range(2)))
+        # the z numerators x₁, y₁, x₂, y₂, … of all curves first, then two Ỹ rows per curve
+        z_nums = [[rng.randrange(97) for _ in range(2 * z.lattice.rank - 2)]
+                  for z in model.dp_components]
+        draws = [tuple(tuple([rng.randrange(97) for _ in range(n)] + xy[r::2]) for r in range(2))
+                 for xy in z_nums]
         # ψᵢ nonzero mod ℤ² on some live root of each of its live summands
         if all(
             any(sum(a * b for a, b in zip(f, x)) % d for f in group for x in rows)
@@ -431,10 +437,7 @@ def generate_restriction_data(model, seed):
             break
     else:
         raise exact.VerificationError(f"no generic restriction data in {_MAX_DRAWS} draws")
-    z_points = tuple(
-        tuple(TorusPoint((Fraction(a, 97), Fraction(b, 97))) for a, b in pts) for pts in z_nums
-    )
-    return RestrictionData(z_points=z_points, draws=tuple(draws))
+    return RestrictionData(y_width=n, draws=tuple(draws))
 
 
 def extension_map(model, restriction):

@@ -11,8 +11,8 @@ The hot paths build no points.  A boundary dataset holds each ψ coordinate
 as a reduced integer pair (n, d) from `torelli.gen_fixture` through the JSON
 text to the classifier; the (1,1,1) reconstruction (period map, E[3]
 translates, orbit comparison) runs on integer numerators over one common
-denominator.  `TorusPoint`s are built only for the periods it inverts and
-the configurations it hands back.
+denominator.  `TorusPoint`s are built only for the periods it inverts, the
+configurations it hands back and the ell111 z-points they are compared with.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from istrata import exact, strata, torelli
+from istrata import exact, io, lattices, strata, tori, torelli
 from istrata.io import dataset_from_json, dataset_to_json, dumps
 from istrata.io import point_to_json
 from istrata.roots import build_En_lattice
@@ -164,17 +164,32 @@ class TestClassifier:
     @pytest.mark.parametrize("label", [lb for lb in STRATUM_LABELS if lb != "ell111"])
     def test_round_trip_builds_no_torus_point(self, monkeypatch, label):
         # ψ travels as integer pairs from gen_fixture through the JSON text to
-        # the classifier; only the (1,1,1) reconstruction reads points.  The
-        # descriptor's z points are TorusPoints by design, built here as tuples
+        # the classifier; only the (1,1,1) reconstruction reads points
         gen_fixture(label, 5)  # Λ and the ψ maps warm before the patch
 
         def refuse(point):
             raise AssertionError(f"a TorusPoint was built: {point.coords}")
 
-        monkeypatch.setattr(strata, "TorusPoint", tuple)
         monkeypatch.setattr(TorusPoint, "__post_init__", refuse)
         ds, _ = gen_fixture(label, 5)
         assert classify_stratum(json_round_trip(ds))[0] == label
+
+    @pytest.mark.parametrize("label", [lb for lb in STRATUM_LABELS if lb != "ell111"])
+    def test_round_trip_builds_no_fraction(self, monkeypatch, label):
+        # off ell111 the descriptor holds no configurations and the z-points
+        # stay integer draws, so no Fraction is made on the whole round trip
+        gen_fixture(label, 0)  # Λ, the ψ maps and the pair indices warm first
+
+        class Refuse:
+            def __new__(cls, *args):
+                raise AssertionError(f"a Fraction was built: {args}")
+
+        for module in (strata, torelli, tori, io, exact, lattices):
+            monkeypatch.setattr(module, "Fraction", Refuse)
+        for seed in (5, *BENCH_SEEDS):
+            ds, desc = gen_fixture(label, seed)
+            assert desc == {"stratum": label, "seed": seed}
+            assert classify_stratum(json_round_trip(ds))[0] == label
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
