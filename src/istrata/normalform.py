@@ -8,6 +8,8 @@ c_y·y² + c_x·x³ + g₂·xz⁴ + g₃·z⁶; the coordinate changes
 
 fix the t⁰ part and are used to kill seven deformation monomials, leaving a
 nine-dimensional slice whose coordinates carry ℂ*-weights (1,2,2,3,3,4,4,5,6).
+The reduction applies them in three grouped substitutions: the four β
+parameters, the two α parameters, then γ.
 """
 
 from __future__ import annotations
@@ -236,22 +238,22 @@ _Z6 = (0, 0, 6, 0)
 _GAMMA_TARGET_G2 = (1, 0, 3, 1)  # txz³, available when g₂ ≠ 0
 _GAMMA_TARGET_G3 = (0, 0, 5, 1)  # tz⁵, available when g₃ ≠ 0
 
-# the seven elementary steps in order, as (target, index of the parameter in
-# (α₁, α₂, β₁, …, β₄, γ), source monomial, multiplier m).  Setting the
-# parameter to u adds m·c·u to the target's coefficient, c the source's
-# coefficient in the t⁰ part, and nothing else of weight 6 reaches the
-# target: y ↦ y + u·M turns c_y·y² into c_y·(y² + 2u·yM + u²M²), x ↦ x + u·M
-# gives 3c_x·u·x²M from x³, and z ↦ z + u·t gives 4g₂·u·xz³t from xz⁴ and
-# 6g₃·u·z⁵t from z⁶.  The γ step depends on the branch.
+# the seven targets grouped by the t⁰ monomial whose change kills them, in
+# order, as (source, multiplier m, ((target, index of its parameter in
+# (α₁, α₂, β₁, …, β₄, γ)), …)).  Setting a group's parameters to uᵢ adds
+# m·c·uᵢ to the i-th target's coefficient, c the source's coefficient in the
+# t⁰ part, and nothing else of weight 6 reaches a target of the group:
+# y ↦ y + Σuᵢ·Mᵢ turns c_y·y² into c_y·(y² + 2y·ΣuᵢMᵢ + (ΣuᵢMᵢ)²), and no
+# other monomial has a y-linear image term; x ↦ x + Σuᵢ·Mᵢ gives
+# 3c_x·x²·ΣuᵢMᵢ from x³ and keeps the x² part of every other monomial; and
+# z ↦ z + u·t gives 4g₂·u·xz³t from xz⁴ and 6g₃·u·z⁵t from z⁶.  The targets
+# are β₁..β₄: txy, tyz², t²yz, t³y; α₁, α₂: tx²z, t²x²; γ: txz³ or tz⁵,
+# by branch.
 _STEPS = (
-    ((1, 1, 0, 1), 2, _Y2, 2),  # β₁: txy
-    ((0, 1, 2, 1), 3, _Y2, 2),  # β₂: tyz²
-    ((0, 1, 1, 2), 4, _Y2, 2),  # β₃: t²yz
-    ((0, 1, 0, 3), 5, _Y2, 2),  # β₄: t³y
-    ((2, 0, 1, 1), 0, _X3, 3),  # α₁: tx²z
-    ((2, 0, 0, 2), 1, _X3, 3),  # α₂: t²x²
+    (_Y2, 2, (((1, 1, 0, 1), 2), ((0, 1, 2, 1), 3), ((0, 1, 1, 2), 4), ((0, 1, 0, 3), 5))),
+    (_X3, 3, (((2, 0, 1, 1), 0), ((2, 0, 0, 2), 1))),
 )
-_GAMMA_STEPS = {"g2": (_GAMMA_TARGET_G2, 6, _XZ4, 4), "g3": (_GAMMA_TARGET_G3, 6, _Z6, 6)}
+_GAMMA_STEPS = {"g2": (_XZ4, 4, ((_GAMMA_TARGET_G2, 6),)), "g3": (_Z6, 6, ((_GAMMA_TARGET_G3, 6),))}
 
 
 @dataclass(frozen=True)
@@ -275,24 +277,18 @@ def leading_form_invariants(poly):
     return cy, cx, t0.get(_XZ4, Fraction(0)), t0.get(_Z6, Fraction(0))
 
 
-def _elementary(k, u):
-    """The change whose k-th parameter in (α₁, α₂, β₁, …, β₄, γ) is u."""
-    p = [Fraction(0)] * 7
-    p[k] = u
-    return ChangeOfVariables(alpha=tuple(p[:2]), beta=tuple(p[2:6]), gamma=p[6])
-
-
 def reduce_to_standard_form(poly):
     """Kill the seven normalizable deformation monomials.
 
-    Order matters: the β parameters fix the y-linear monomials first (only
-    −2·c_y·y·δ can move them), then α₁, α₂ clear tx²z and t²x² using the x³
-    term, and finally γ clears txz³ (when g₂ ≠ 0) or tz⁵ (when g₂ = 0,
-    g₃ ≠ 0); this order never reintroduces an earlier target.  No step moves
-    the t⁰ part, so each step's parameter is u = −c₀/(m·c), c₀ the target's
-    current coefficient and m·c its slope from `_STEPS`.  The seven steps
-    carry integer numerators over one denominator; the final checks certify
-    every step.
+    Order matters: the β group fixes the y-linear monomials first (only
+    −2·c_y·y·δ can move them), then the α group clears tx²z and t²x² using
+    the x³ term, and finally γ clears txz³ (when g₂ ≠ 0) or tz⁵ (when g₂ = 0,
+    g₃ ≠ 0); this order never reintroduces an earlier target.  No group moves
+    the t⁰ part or another target of its own group, so each parameter is
+    u = −c₀/(m·c), c₀ its target's coefficient before the group and m·c its
+    slope from `_STEPS`, and each group is one substitution.  The three
+    substitutions carry integer numerators over one denominator; the final
+    checks certify every group.
     """
     source = dict(zip((_Y2, _X3, _XZ4, _Z6), leading_form_invariants(poly)))
     if source[_XZ4] != 0:
@@ -302,19 +298,22 @@ def reduce_to_standard_form(poly):
     else:
         raise ValueError("g₂ = g₃ = 0: the fibre is cuspidal, no normal form")
     steps = _STEPS + (_GAMMA_STEPS[branch],)
-    total = ChangeOfVariables.identity()
+    total = None
     terms, den = _numerators(poly)
-    for target, k, src, m in steps:
-        # u = −c₀/(m·c): c₀ = n/den is the target's coefficient, c the source's
-        n, c = dict(terms).get(target, 0), source[src]
-        change = _elementary(k, Fraction(-n * c.denominator, den * m * c.numerator))
+    for src, m, targets in steps:
+        # u = −c₀/(m·c), c₀ = coeffs[target]/den and c the source's coefficient
+        c, coeffs, p = source[src], dict(terms), [Fraction(0)] * 7
+        for target, k in targets:
+            p[k] = Fraction(-coeffs.get(target, 0) * c.denominator, den * m * c.numerator)
+        change = ChangeOfVariables(alpha=tuple(p[:2]), beta=tuple(p[2:6]), gamma=p[6])
         terms, den = _expand(terms, den, change)
-        total = compose_changes(total, change)
+        total = change if total is None else compose_changes(total, change)
     current = _polynomial(terms, den)
 
-    for target, *_ in steps:
-        if current.coefficient(target) != 0:
-            raise VerificationError(f"{_mono_str(target)} survived the reduction")
+    coeffs = current.as_dict()
+    survivors = [t for _, _, targets in steps for t, _ in targets if t in coeffs]
+    if survivors:
+        raise VerificationError(f"{_mono_str(survivors[0])} survived the reduction")
     if current.t_part(0) != poly.t_part(0):
         raise VerificationError("the reduction moved the t⁰ part")
     if apply_change(poly, total).coeffs != current.coeffs:
@@ -352,10 +351,8 @@ def cstar_weights(branch):
 
 def slice_coordinates(result):
     """Name → coefficient map of the reduced polynomial on the residual slice."""
-    return {
-        name: result.polynomial.coefficient(exp)
-        for name, exp, _ in cstar_weights(result.branch)
-    }
+    coeffs = result.polynomial.as_dict()
+    return {name: coeffs.get(exp, Fraction(0)) for name, exp, _ in cstar_weights(result.branch)}
 
 
 DEFORMATION_DENOM = 41  # random_deformation draws coefficients in (1/41)ℤ ∩ (−1, 1)

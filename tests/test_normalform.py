@@ -7,6 +7,7 @@ import pytest
 
 from istrata import normalform
 from istrata.exact import VerificationError
+from istrata.lattices import IntegralLattice
 from istrata.normalform import (
     ChangeOfVariables,
     WeightedPolynomial,
@@ -18,6 +19,12 @@ from istrata.normalform import (
     random_deformation,
     reduce_to_standard_form,
     slice_coordinates,
+)
+from istrata.roots import (
+    build_En_lattice,
+    decompose_root_system,
+    enumerate_roots,
+    highest_root_coefficients,
 )
 
 Y2 = (0, 2, 0, 0)
@@ -214,14 +221,33 @@ class TestReduction:
             reduce_to_standard_form(random_deformation(3))
 
     def test_surviving_target_is_caught(self, monkeypatch):
-        # the γ step applies the zero change, so txz³ stays; the composed
-        # change still matches the (unreduced) result
-        elementary = normalform._elementary
-        monkeypatch.setattr(
-            normalform, "_elementary", lambda k, u: elementary(k, 0 if k == 6 else u)
-        )
-        with pytest.raises(VerificationError, match="survived"):
+        # the γ row's multiplier doubled halves γ, so txz³ keeps half its
+        # coefficient; the composed change still matches the (unreduced) result
+        src, m, targets = normalform._GAMMA_STEPS["g2"]
+        monkeypatch.setitem(normalform._GAMMA_STEPS, "g2", (src, 2 * m, targets))
+        with pytest.raises(VerificationError, match=r"x\*z\^3\*t survived"):
             reduce_to_standard_form(random_deformation(3))
+
+    @pytest.mark.parametrize("branch", ["g2", "g3"])
+    def test_one_substitution_per_group(self, monkeypatch, branch):
+        # three grouped substitutions plus the final re-application of the
+        # composed change, and two compositions: the β group's change is the
+        # running total
+        if branch == "g2":
+            p = random_deformation(3)
+        else:
+            d = random_deformation(3, cuspidal=True).as_dict()
+            d[Z6] = Fraction(4, 41)
+            p = WeightedPolynomial.from_dict(d)
+        calls = {"_expand": 0, "compose_changes": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(normalform, name)):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(normalform, name, counted)
+        assert reduce_to_standard_form(p).branch == branch
+        assert calls == {"_expand": 4, "compose_changes": 2}
 
     def test_moved_t0_part_is_caught(self, monkeypatch):
         # x³ gains 1 in every built polynomial, the reduced one and the
@@ -279,6 +305,18 @@ class TestSlice:
     def test_branches_differ_in_first_slot(self):
         assert cstar_weights("g2")[0][1] == (0, 0, 5, 1)
         assert cstar_weights("g3")[0][1] == (1, 0, 3, 1)
+
+    @pytest.mark.parametrize("branch", ["g2", "g3"])
+    def test_weights_are_affine_E8_marks(self, branch):
+        # the slice's ℂ*-weights are the marks of the affine Ẽ₈ diagram: the
+        # affine node's 1 and the coefficients of E8's highest root in its
+        # simple roots, taken from the E8 root lattice of the blowup basis
+        L, _, _, _, alphas = build_En_lattice(8)
+        e8 = IntegralLattice([[L.pairing(a, b) for b in alphas] for a in alphas])
+        highest = highest_root_coefficients(decompose_root_system(e8, enumerate_roots(e8)), 0)
+        marks = sorted((1, *highest))
+        assert [w for _, _, w in cstar_weights(branch)] == marks
+        assert sum(marks) == 30  # the Coxeter number h(E8)
 
     def test_slice_has_nine_coordinates(self):
         r = reduce_to_standard_form(random_deformation(8))

@@ -27,8 +27,8 @@ from istrata.lattices import (
 )
 from istrata.normalform import apply_change, compose_changes, random_deformation
 from istrata.normalform import ChangeOfVariables, WeightedPolynomial, _expand, _numerators
-from istrata.normalform import _GAMMA_STEPS, _STEPS, _elementary
-from istrata.normalform import monomial_weight, reduce_to_standard_form
+from istrata.normalform import _GAMMA_STEPS, _STEPS, _polynomial
+from istrata.normalform import leading_form_invariants, monomial_weight, reduce_to_standard_form
 from istrata.roots import _simple_roots, decompose_root_system, enumerate_roots
 from istrata.strata import STRATUM_LABELS, build_stratum_model, compute_lambda
 from istrata.torelli import gen_fixture
@@ -288,18 +288,89 @@ def test_substitution_matches_naive_expansion(c, seed, kind):
     )
 
 
+def _elementary(k, u):
+    """The change whose k-th parameter in (α₁, α₂, β₁, …, β₄, γ) is u."""
+    p = [Fraction(0)] * 7
+    p[k] = u
+    return ChangeOfVariables(alpha=tuple(p[:2]), beta=tuple(p[2:6]), gamma=p[6])
+
+
+# the seven elementary steps in order, as (target, parameter index, source, m)
+SEVEN_STEPS = (
+    ((1, 1, 0, 1), 2, (0, 2, 0, 0), 2),  # β₁: txy
+    ((0, 1, 2, 1), 3, (0, 2, 0, 0), 2),  # β₂: tyz²
+    ((0, 1, 1, 2), 4, (0, 2, 0, 0), 2),  # β₃: t²yz
+    ((0, 1, 0, 3), 5, (0, 2, 0, 0), 2),  # β₄: t³y
+    ((2, 0, 1, 1), 0, (3, 0, 0, 0), 3),  # α₁: tx²z
+    ((2, 0, 0, 2), 1, (3, 0, 0, 0), 3),  # α₂: t²x²
+)
+SEVEN_GAMMA_STEPS = {
+    "g2": ((1, 0, 3, 1), 6, (1, 0, 4, 0), 4),  # γ: txz³
+    "g3": ((0, 0, 5, 1), 6, (0, 0, 6, 0), 6),  # γ: tz⁵
+}
+
+
+def seven_step_reduction(poly):
+    """(branch, reduced polynomial, composed change) of the ungrouped
+    reduction: one elementary substitution per parameter, each read off its
+    target's coefficient after the previous step."""
+    source = dict(zip(((0, 2, 0, 0), (3, 0, 0, 0), (1, 0, 4, 0), (0, 0, 6, 0)),
+                      leading_form_invariants(poly)))
+    branch = "g2" if source[(1, 0, 4, 0)] else "g3"
+    total = ChangeOfVariables.identity()
+    terms, den = _numerators(poly)
+    for target, k, src, m in SEVEN_STEPS + (SEVEN_GAMMA_STEPS[branch],):
+        n, c = dict(terms).get(target, 0), source[src]
+        change = _elementary(k, Fraction(-n * c.denominator, den * m * c.numerator))
+        terms, den = _expand(terms, den, change)
+        total = compose_changes(total, change)
+    return branch, _polynomial(terms, den), total
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(("g2", "g3", "coprime")))
+@example(seed=0, kind="coprime")
+def test_grouped_reduction_matches_seven_steps(seed, kind):
+    # grouping the steps by source monomial changes neither a parameter nor
+    # the composed change nor the reduced polynomial
+    branch = ("g2", "g3")[seed % 2] if kind == "coprime" else kind
+    p = coprime_deformation(branch) if kind == "coprime" else deformation_on_branch(seed, kind)
+    r = reduce_to_standard_form(p)
+    oracle_branch, oracle_poly, oracle_change = seven_step_reduction(p)
+    assert (r.branch, r.polynomial.coeffs, r.change) == (
+        oracle_branch, oracle_poly.coeffs, oracle_change
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(wide_fracs, st.integers(min_value=0, max_value=10**6), st.sampled_from(("g2", "g3")))
 @example(u=Fraction(-3, 7), seed=0, branch="g3")
 def test_step_slopes_match_naive_expansion(u, seed, branch):
-    # reduce_to_standard_form sets each step's parameter from the slope in
-    # its table: u adds m·c·u to the target, c the source's coefficient
+    # reduce_to_standard_form sets each parameter from the slope in its
+    # table: u adds m·c·u to the target, c the source's coefficient
     p = deformation_on_branch(seed, branch)
-    steps = _STEPS + (_GAMMA_STEPS[branch],)
+    groups = _STEPS + (_GAMMA_STEPS[branch],)
+    steps = [(target, k, src, m) for src, m, targets in groups for target, k in targets]
     assert len({k for _, k, _, _ in steps}) == 7
     for target, k, src, m in steps:
         expected = p.coefficient(target) + m * p.coefficient(src) * u
         assert naive_substitution(p, _elementary(k, u)).get(target, 0) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_fracs, st.integers(min_value=0, max_value=10**6), st.sampled_from(("g2", "g3")))
+@example(u=Fraction(5, 3), seed=1, branch="g2")
+def test_steps_of_a_group_leave_each_others_targets(u, seed, branch):
+    # the fact the grouping rests on: an elementary change of one group
+    # leaves every other target of that group where it was, so the group's
+    # parameters can all be read off before its one substitution
+    p = deformation_on_branch(seed, branch)
+    for _, _, targets in _STEPS + (_GAMMA_STEPS[branch],):
+        for target, k in targets:
+            moved = naive_substitution(p, _elementary(k, u))
+            for other, _ in targets:
+                if other != target:
+                    assert moved.get(other, 0) == p.coefficient(other)
 
 
 @pytest.mark.parametrize("branch", ["g2", "g3"])
